@@ -4,8 +4,7 @@
  *
  * The bench runner's SIGINT/SIGTERM handler sets this flag; every
  * in-flight device cycle loop polls it (cheaply, once per ~1k cycles)
- * and raises SimError{Kind::Canceled} at a point where the tick team is
- * quiesced — between cycles, never mid-commit — so a cancelled run
+ * and raises SimError{Kind::Canceled} between cycles, so a cancelled run
  * unwinds through the normal recoverable-error path: its SimContext
  * records a structured failure, writes the last boundary checkpoint if
  * checkpointing is on, and sibling sweep runs keep draining.

@@ -473,11 +473,6 @@ GpuConfig::describe() const
         oss << "CycleSkip  off (the clock never jumps over dead spans)\n";
     if (crit)
         oss << "CritProf   issue-slot attribution + latency breakdown\n";
-    if (simThreads != 1)
-        oss << "SimThreads "
-            << (simThreads == 0 ? std::string("auto")
-                                : std::to_string(simThreads))
-            << " (deterministic parallel tick)\n";
     if (watchdogInterval)
         oss << "Watchdog   check every " << watchdogInterval
             << " cycles, stall budget " << watchdogBudget << "\n";
@@ -494,10 +489,9 @@ GpuConfig::fingerprint() const
 {
     // FNV-1a over the numeric fields; any change invalidates cached runs.
     // Run-control knobs (max_cycles, watchdog_*, idle_gating,
-    // cycle_skipping, sim_threads)
-    // are deliberately NOT mixed in: they never change the stats of a run
-    // that completes, so tightening a budget must not orphan valid cache
-    // entries. The fault plan IS mixed in — injected backpressure changes
+    // cycle_skipping) and the inert sim_threads are deliberately NOT
+    // mixed in: they never change the stats of a run that completes, so
+    // tightening a budget must not orphan valid cache entries. The fault plan IS mixed in — injected backpressure changes
     // timing.
     uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](uint64_t v) {

@@ -217,8 +217,8 @@ struct GpuConfig
      * the skipped cycles to the same idle counters the per-cycle loop
      * would have bumped. Like idle_gating this is a pure host-side
      * optimization — every stats/trace/crit artifact is bit-identical with
-     * the knob on or off at any --sim-threads (tests/test_skip.cc) — so it
-     * is not part of the config fingerprint. Only effective when
+     * the knob on or off (tests/test_skip.cc) — so it is not part of the
+     * config fingerprint. Only effective when
      * idleGating is on (the gating-off loop is the eager reference).
      */
     bool cycleSkipping = true;
@@ -236,13 +236,10 @@ struct GpuConfig
     bool crit = false;
 
     /**
-     * Worker threads for the intra-run parallel tick (SMs and memory
-     * partitions ticking concurrently with a deterministic commit phase).
-     * 1 = the serial loop; 0 = auto (hardware threads minus active sweep
-     * jobs, resolved at the CLI layer, clamped to at least 1). Like
-     * idle_gating this is a pure host-side knob — results are bit-identical
-     * at every thread count (tests/test_parallel_tick.cc) — so it is not
-     * part of the config fingerprint.
+     * Has no effect: every simulation ticks on one thread. The sim_threads
+     * key is still parsed and validated so existing override strings keep
+     * working, and it is not part of the config fingerprint. Parallelism
+     * comes from running several simulations at once (--jobs).
      */
     unsigned simThreads = 1;
 

@@ -2,7 +2,7 @@
  * @file
  * Global min-calendar for event-driven cycle skipping.
  *
- * When the coordinator finds no unit eligible to make progress in the
+ * When the cycle loop finds no unit eligible to make progress in the
  * current cycle it asks every unit for its next interesting cycle and
  * jumps the clock to the minimum. This container computes that minimum:
  * offers land in a bucketed occupancy ring for near events (the common

@@ -7,12 +7,14 @@
  * incurs (StepInfo). See DESIGN.md decision 1: timing-directed functional
  * execution.
  *
- * Deterministic ticking (sim_threads): when a staging buffer is attached
+ * End-of-cycle store commit: when a staging buffer is attached
  * (setStaging), global-memory mutations — stores and atomics — are not
  * applied at issue but captured as PendingAccess records; the Gpu applies
  * them at the end of the cycle in SM-id order (commitStaged). Loads read
- * the pre-cycle memory image, which is frozen during the compute phase, so
- * concurrent SMs see one consistent snapshot regardless of thread count.
+ * the pre-cycle memory image, so a store becomes visible to every SM
+ * (its own included) the cycle after it issues, independent of the order
+ * in which the SMs tick within a cycle. This is the model's store
+ * semantics: every golden, cache entry and stats digest depends on it.
  * Atomics are staged as *operations* (op, operands, destination register),
  * not precomputed values: the read-modify-write runs at commit against
  * committed memory, so same-cycle atomics from different SMs serialize in

@@ -32,13 +32,11 @@ Gpu::Gpu(GpuConfig config)
                                             gmem_, stats_, pools_));
         sms_.back()->partitionMap = &Gpu::mapPartition;
         sms_.back()->fault = fault_.get();
-        // One crit shard per SM, created in SM-id order so the finalize
-        // merge order is thread-count independent (like SimStats shards).
+        // One crit shard per SM, created in SM-id order: the finalize
+        // merge walks them in that order (like SimStats shards).
         if (crit_)
             sms_.back()->crit = &crit_->newShard();
-        // Global stores/atomics commit at end of cycle at EVERY thread
-        // count — the uniform write protocol is what makes sim_threads=N
-        // bit-identical to sim_threads=1 (see functional.hh).
+        // Global stores/atomics commit at end of cycle (see functional.hh).
         sms_.back()->enableWriteStaging();
     }
     partitions_.reserve(config_.numPartitions);
@@ -48,28 +46,9 @@ Gpu::Gpu(GpuConfig config)
         partitions_.back()->fault = fault_.get();
     }
 
-    unsigned threads = config_.simThreads == 0 ? 1 : config_.simThreads;
-    threads = std::min(threads, numUnits());
-    if (threads > 1 && config_.icntLatency == 0) {
-        gcl_warn("sim_threads ", config_.simThreads,
-                 " requires icnt_latency >= 1; running serial");
-        threads = 1;
-    }
-    threads_ = std::max(1u, threads);
-    parallel_ = threads_ > 1;
-    if (parallel_) {
-        pools_.reqs.setConcurrent(true);
-        pools_.ops.setConcurrent(true);
-        unitErrors_.resize(numUnits());
-        drainErrors_.resize(config_.numSms);
-    }
-    smSinks_.resize(config_.numSms);
-    partSinks_.resize(config_.numPartitions);
-
     activeSmMask_.assign((config_.numSms + 63) / 64, 0);
     activePartMask_.assign((config_.numPartitions + 63) / 64, 0);
     smIdleFrom_.assign(config_.numSms, 0);
-    activeUnits_.reserve(numUnits());
     dormantSmMask_.assign((config_.numSms + 63) / 64, 0);
     dormantFrom_.assign(config_.numSms, 0);
     dormantWakeAt_.assign(config_.numSms, 0);
@@ -78,31 +57,15 @@ Gpu::Gpu(GpuConfig config)
     dormantPartWakeAt_.assign(config_.numPartitions, 0);
 }
 
-unsigned
-Gpu::numUnits() const
-{
-    return config_.numSms + config_.numPartitions;
-}
-
 void
 Gpu::attachTrace(trace::TraceSink *sink, Cycle timeline_interval)
 {
     traceSink_ = sink;
     timelineInterval_ = sink ? timeline_interval : 0;
-    for (unsigned s = 0; s < config_.numSms; ++s) {
-        if (sink)
-            smSinks_[s].attach(sink, static_cast<int16_t>(s), parallel_);
-        else
-            smSinks_[s].detach();
-        sms_[s]->traceSink = sink ? &smSinks_[s] : nullptr;
-    }
-    for (unsigned p = 0; p < config_.numPartitions; ++p) {
-        if (sink)
-            partSinks_[p].attach(sink, static_cast<int16_t>(p), parallel_);
-        else
-            partSinks_[p].detach();
-        partitions_[p]->setTrace(sink ? &partSinks_[p] : nullptr);
-    }
+    for (auto &sm : sms_)
+        sm->traceSink = sink;
+    for (auto &part : partitions_)
+        part->setTrace(sink);
 }
 
 void
@@ -536,30 +499,6 @@ Gpu::flushIdleCredits(Cycle up_to)
     }
 }
 
-void
-Gpu::buildActiveUnits()
-{
-    activeUnits_.clear();
-    // Dormant SMs are skipped exactly like the serial loop skips them:
-    // their tick would be a frozen no-op, credited in bulk at wake.
-    for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-        uint64_t word = activeSmMask_[w] & ~dormantSmMask_[w];
-        while (word != 0) {
-            activeUnits_.push_back(static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word))));
-            word &= word - 1;
-        }
-    }
-    for (size_t w = 0; w < activePartMask_.size(); ++w) {
-        uint64_t word = activePartMask_[w] & ~dormantPartMask_[w];
-        while (word != 0) {
-            activeUnits_.push_back(config_.numSms + static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word))));
-            word &= word - 1;
-        }
-    }
-}
-
 Cycle
 Gpu::skipTarget(Cycle now, Cycle start)
 {
@@ -858,9 +797,6 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
     GCL_DEBUG("gpu", "launch '", kernel.name(), "': ", grid.count(),
               " CTAs x ", cta.count(), " threads");
 
-    if (parallel_ && !team_)
-        team_ = std::make_unique<exec::TickTeam>(threads_);
-
     // Thread-instructions the timed session will issue — the work unit
     // the extrapolation uses to price fast-forwarded launches.
     const uint64_t workBefore =
@@ -905,9 +841,8 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
                           "'");
         }
         // Cooperative cancellation (SIGINT/SIGTERM via the bench runner):
-        // polled between cycles, where the tick team is quiescent, so the
-        // unwind never races a compute phase. ~1k-cycle granularity keeps
-        // the poll invisible on the hot path.
+        // polled between cycles. ~1k-cycle granularity keeps the poll
+        // invisible on the hot path.
         if ((now & 0x3ff) == 0 && guard::cancelRequested()) {
             wakeAllDormantUnits(now);
             gcl_sim_error(SimError::Kind::Canceled, "gpu", now,
@@ -964,60 +899,8 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
         if (skip_on)
             wakeDueUnits(now);
 
-        if (parallel_) {
-            // ---- Deterministic parallel tick: compute, then commit ----
-            // Response-side arbitration runs before the compute phase (an
-            // exact hoist — see interconnect.hh); the drain gate is then
-            // identical to the value the serial loop computes after the
-            // partitions, because only that arbitration touches the
-            // SM-bound delay queues.
-            icnt_.beginCycle(now);
-            tickNow_ = now;
-            tickDrainGate_ =
-                !config_.idleGating || icnt_.anyResponsesInFlight();
-            if (lean)
-                buildActiveUnits();
-            team_->run(&Gpu::tickTask, this);
-
-            const int err_pos = firstErrorPos();
-            commitTrace(err_pos);
-            if (err_pos >= 0) {
-                // Mirror a serial mid-cycle throw: the request-side
-                // arbitration and this cycle's staged writes never happen.
-                const unsigned units = numUnits();
-                std::exception_ptr err =
-                    err_pos < static_cast<int>(units)
-                        ? unitErrors_[static_cast<size_t>(err_pos)]
-                        : drainErrors_[static_cast<size_t>(err_pos) - units];
-                for (auto &e : unitErrors_)
-                    e = nullptr;
-                for (auto &e : drainErrors_)
-                    e = nullptr;
-                std::rethrow_exception(err);
-            }
-            icnt_.commitCycle(now);
-            if (lean) {
-                // Inactive and dormant SMs never execute, so their
-                // staged-write buffers are empty; committing only the
-                // awake active ones (in SM-id order, as the mask scan
-                // walks) is the identical write order.
-                for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-                    uint64_t word = activeSmMask_[w] & ~dormantSmMask_[w];
-                    while (word != 0) {
-                        const unsigned s = static_cast<unsigned>(
-                            w * 64 +
-                            static_cast<size_t>(std::countr_zero(word)));
-                        word &= word - 1;
-                        sms_[s]->commitStagedWrites();
-                    }
-                }
-                activatePartsFromIcnt();
-            } else {
-                for (auto &sm : sms_)
-                    sm->commitStagedWrites();
-            }
-        } else if (lean) {
-            // ---- Serial tick over the active units only ----
+        if (lean) {
+            // ---- Tick over the active units only ----
             // An active SM is busy by construction (retired from the mask
             // the moment a tick drains it), so the busy/idle split of the
             // eager loop collapses to an unconditional cycle; the skipped
@@ -1066,7 +949,7 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
                     if (dormantSmMask_[s / 64] & bit) {
                         // Only a latency-0 crossbar can make a response
                         // deliverable in the same cycle it was pushed
-                        // (later latencies were caught by wakeDueSms).
+                        // (later latencies were caught by wakeDueUnits).
                         // The SM's tick this cycle was skipped while
                         // frozen, so the wake credits through now
                         // inclusive; the delivery below then un-freezes
@@ -1111,8 +994,7 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
             if (!config_.idleGating || icnt_.anyResponsesInFlight())
                 for (auto &sm : sms_)
                     sm->drainResponses(now, icnt_);
-            // End-of-cycle write commit, same protocol as the parallel
-            // tick (and the reason both thread counts agree bit-for-bit).
+            // End-of-cycle write commit (see functional.hh).
             for (auto &sm : sms_)
                 sm->commitStagedWrites();
         }
@@ -1138,9 +1020,8 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
 
         if (skip_on) {
             // ---- Event-driven skip (the decision point) ----
-            // Runs on the coordinator from end-of-cycle committed state —
-            // the same state at every sim_threads — after the break check,
-            // so a jump is only taken mid-kernel. target > now + 1 means
+            // Runs from end-of-cycle committed state, after the break
+            // check, so a jump is only taken mid-kernel. target > now + 1 means
             // every unit certified the span (now, target) dead: ticking
             // it cycle by cycle would only bump the per-cycle counters
             // that skipCycles()/flushIdleCredits() credit in bulk.
@@ -1245,9 +1126,8 @@ Gpu::fastForwardCtas(const LaunchContext &launch,
 {
     if (ids.size() <= skip)
         return;
-    // The executor applies memory effects immediately (no write staging):
-    // fast-forward is always serial on the calling thread, so the retire
-    // order below IS the canonical order at every --sim-threads.
+    // The executor applies memory effects immediately (no write staging),
+    // so the retire order below IS the canonical order.
     if (!ffExec_)
         ffExec_ = std::make_unique<WarpExecutor>(gmem_, config_.warpSize);
     const unsigned warps_per_cta = launch.warpsPerCta(config_.warpSize);
@@ -1261,8 +1141,7 @@ Gpu::fastForwardCtas(const LaunchContext &launch,
     // machine's resident wave would — a CTA-at-a-time order would let
     // data-dependent host loops (relaxation sweeps reading results back)
     // converge in fewer kernel launches than a detailed run, skewing the
-    // extrapolation. Still strictly serial on the calling thread:
-    // deterministic and byte-reproducible at any --sim-threads.
+    // extrapolation.
     struct FfCta
     {
         CtaContext cta;
@@ -1468,148 +1347,6 @@ Gpu::beginDetailedWork(uint64_t ff_in_launch)
         return;    // no functional prefix to share
     ffCaptureCtaIndex_ = ff_in_launch;
     ffPrefixHook_();
-}
-
-void
-Gpu::tickTask(void *ctx, unsigned participant)
-{
-    static_cast<Gpu *>(ctx)->tickParticipant(participant);
-}
-
-void
-Gpu::tickParticipant(unsigned participant)
-{
-    if (config_.idleGating) {
-        // Strided walk over the compact active-unit list the coordinator
-        // built before the phase (workers never touch the masks). The
-        // list interleaves SMs and partitions in unit-id order, spreading
-        // both kinds across the participants.
-        const size_t count = activeUnits_.size();
-        for (size_t i = participant; i < count; i += threads_)
-            unitTick(activeUnits_[i]);
-        return;
-    }
-    // unit % threads interleaves heavy SMs and light partitions across
-    // the participants instead of handing all partitions to one of them.
-    const unsigned units = numUnits();
-    for (unsigned unit = participant; unit < units; unit += threads_)
-        unitTick(unit);
-}
-
-void
-Gpu::unitTick(unsigned unit)
-{
-    const Cycle now = tickNow_;
-    if (unit < config_.numSms) {
-        Sm &sm = *sms_[unit];
-        try {
-            if (sm.busy())
-                sm.cycle(now, icnt_);
-            else
-                sm.idleCycle();
-        } catch (...) {
-            unitErrors_[unit] = std::current_exception();
-            return;
-        }
-        if (!tickDrainGate_)
-            return;
-        // Response-drain events sit after every unit's cycle events in the
-        // serial emission order; stage them in their own segment.
-        if (sm.traceSink)
-            sm.traceSink->beginSegment(trace::StageSink::kSegDrain);
-        try {
-            sm.drainResponses(now, icnt_);
-        } catch (...) {
-            drainErrors_[unit] = std::current_exception();
-        }
-        return;
-    }
-    const unsigned p = unit - config_.numSms;
-    try {
-        // The partition's own idle gate: every input (its queues, its
-        // arrived-flit check) is unit-confined state, and the request-side
-        // arbitration that could change hasRequest() only lands flits
-        // poppable next cycle — so this decision equals the serial one.
-        if (config_.idleGating && partitions_[p]->idle() &&
-            !icnt_.hasRequest(static_cast<int>(p), now))
-            return;
-        partitions_[p]->cycle(now, icnt_);
-    } catch (...) {
-        unitErrors_[unit] = std::current_exception();
-    }
-}
-
-int
-Gpu::firstErrorPos() const
-{
-    if (!parallel_)
-        return -1;
-    const unsigned units = numUnits();
-    for (unsigned u = 0; u < units; ++u)
-        if (unitErrors_[u])
-            return static_cast<int>(u);
-    for (unsigned s = 0; s < config_.numSms; ++s)
-        if (drainErrors_[s])
-            return static_cast<int>(units + s);
-    return -1;
-}
-
-void
-Gpu::commitTrace(int err_pos)
-{
-    if (!GCL_TRACE_ACTIVE(traceSink_))
-        return;
-
-    // 1. Draw real ids in SM-id order — the order a serial tick allocates
-    //    them — and patch the live pool objects that carry provisional
-    //    ids. Only partitions never allocate: every request they see is at
-    //    least icnt_latency cycles old and was patched at issue.
-    for (auto &sink : smSinks_) {
-        auto &records = sink.records();
-        sink.prepareRealIds();
-        for (size_t i = 0; i < records.size(); ++i) {
-            const trace::StageSink::IdRecord &rec = records[i];
-            const uint64_t real = traceSink_->newId();
-            sink.setReal(i, real);
-            // The object may have been freed (and the slot reused) since
-            // the id was handed out; only patch while the field still
-            // holds this exact provisional value.
-            if (rec.kind == trace::StageSink::kIdReq) {
-                MemRequest &r = pools_.reqs.getRaw(rec.handle);
-                if (r.id == rec.prov)
-                    r.id = real;
-            } else {
-                WarpMemOp &o = pools_.ops.getRaw(rec.handle);
-                if (o.id == rec.prov)
-                    o.id = real;
-            }
-        }
-    }
-
-    // 2. Forward staged events in the serial within-cycle order: SM cycle
-    //    segments, partition events, SM drain segments. A unit error
-    //    truncates the stream exactly where a serial tick would have
-    //    stopped emitting (err_pos is a serial position; the erroring
-    //    unit's own buffer already ends at its throw point).
-    const int units = static_cast<int>(numUnits());
-    const int limit = err_pos < 0 ? units + static_cast<int>(config_.numSms)
-                                  : err_pos;
-    for (int s = 0; s < static_cast<int>(config_.numSms); ++s)
-        if (s <= limit)
-            smSinks_[static_cast<size_t>(s)].forward(
-                trace::StageSink::kSegCycle);
-    for (int p = 0; p < static_cast<int>(config_.numPartitions); ++p)
-        if (static_cast<int>(config_.numSms) + p <= limit)
-            partSinks_[static_cast<size_t>(p)].forward(0);
-    for (int s = 0; s < static_cast<int>(config_.numSms); ++s)
-        if (units + s <= limit)
-            smSinks_[static_cast<size_t>(s)].forward(
-                trace::StageSink::kSegDrain);
-
-    for (auto &sink : smSinks_)
-        sink.clearCycle();
-    for (auto &sink : partSinks_)
-        sink.clearCycle();
 }
 
 guard::HangReport
@@ -2061,8 +1798,8 @@ Gpu::finalizeStats()
         }
     }
     // Fold the crit shards first: per-SM shards merge in creation order
-    // into keyed adds, so the crit.* schema is byte-identical at any
-    // sim_threads (the same contract SimStats::finalize honors).
+    // into keyed adds, so the crit.* schema bytes are fixed by the SM
+    // order (the same contract SimStats::finalize honors).
     if (crit_)
         crit_->finalize(stats_.kernelNames(), stats_.set());
     stats_.finalize();

@@ -8,7 +8,6 @@
 #ifndef GCL_SIM_GPU_HH
 #define GCL_SIM_GPU_HH
 
-#include <exception>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "config.hh"
 #include "crit/crit.hh"
 #include "event_calendar.hh"
-#include "exec/tick_team.hh"
 #include "functional.hh"
 #include "guard/fault.hh"
 #include "guard/watchdog.hh"
@@ -26,7 +24,7 @@
 #include "sample.hh"
 #include "sm.hh"
 #include "stats.hh"
-#include "trace/stage_sink.hh"
+#include "trace/trace.hh"
 #include "warp.hh"
 
 namespace gcl::snap
@@ -99,9 +97,6 @@ class Gpu
     /** Default line-address to memory-partition mapping. */
     static int mapPartition(uint64_t line_addr, int sm_id,
                             const GpuConfig &config);
-
-    /** Worker threads the tick loop actually uses (after clamping). */
-    unsigned effectiveSimThreads() const { return threads_; }
 
     // ---- Event-driven cycle skipping (config.cycleSkipping) ----
 
@@ -308,9 +303,6 @@ class Gpu
      */
     void flushIdleCredits(Cycle up_to);
 
-    /** Rebuild the compact unit list the tick team strides over. */
-    void buildActiveUnits();
-
     // ---- Per-unit dormancy (config.cycleSkipping) ----
     //
     // The global jump needs EVERY unit quiescent; one SM issuing a
@@ -355,29 +347,6 @@ class Gpu
     guard::HangReport buildHangReport(const std::string &kernel,
                                       Cycle now) const;
 
-    // ---- Deterministic parallel tick (sim_threads > 1) ----
-
-    /** Total tickable units: numSms SMs then numPartitions partitions. */
-    unsigned numUnits() const;
-
-    /** TickTeam entry: tick every unit mapped to @p participant. */
-    static void tickTask(void *ctx, unsigned participant);
-    void tickParticipant(unsigned participant);
-
-    /** Compute-phase body for one unit; exceptions land in unitErrors_. */
-    void unitTick(unsigned unit);
-
-    /** Commit staged trace events/ids; no-op when untraced. */
-    void commitTrace(int err_pos);
-
-    /**
-     * Serial position of the lowest-positioned captured unit error, or -1.
-     * Positions order errors the way a serial tick would have hit them:
-     * SM i's cycle = i, partition p = numSms + p, SM i's response drain =
-     * numSms + numPartitions + i.
-     */
-    int firstErrorPos() const;
-
     GpuConfig config_;
     GlobalMemory gmem_;
     SimStats stats_;
@@ -411,31 +380,6 @@ class Gpu
      */
     std::unique_ptr<crit::CritStats> crit_;
 
-    /**
-     * Effective tick-thread count: config_.simThreads clamped to the unit
-     * count, forced to 1 when icnt_latency is 0 (the commit-phase request
-     * arbitration assumes its pushes only become poppable next cycle).
-     */
-    unsigned threads_ = 1;
-    bool parallel_ = false;    //!< threads_ > 1
-
-    /** Persistent worker team, created at the first parallel launch. */
-    std::unique_ptr<exec::TickTeam> team_;
-
-    /** Per-unit trace staging (attachTrace); SMs then partitions. */
-    std::vector<trace::StageSink> smSinks_;
-    std::vector<trace::StageSink> partSinks_;
-
-    // Compute-phase inputs, published to the workers by TickTeam::run's
-    // release/acquire handshake.
-    Cycle tickNow_ = 0;
-    bool tickDrainGate_ = false;
-
-    /** Compute-phase unit errors, written at disjoint indices. */
-    std::vector<std::exception_ptr> unitErrors_;
-    /** SM response-drain errors (a later serial position than the cycle). */
-    std::vector<std::exception_ptr> drainErrors_;
-
     // ---- Active-unit tracking + event-driven skip state ----
 
     /** Per-decision min-calendar over the units' next-event offers. */
@@ -446,8 +390,6 @@ class Gpu
     unsigned activePartCount_ = 0;
     /** First cycle of each inactive SM's unsettled idle span. */
     std::vector<Cycle> smIdleFrom_;
-    /** Compact active unit ids (SMs then partitions) for the tick team. */
-    std::vector<unsigned> activeUnits_;
     uint64_t skippedCycles_ = 0;
     uint64_t skipEvents_ = 0;
     /** Bit s: SM s is active but dormant (frozen; not ticked). */

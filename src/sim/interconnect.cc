@@ -15,7 +15,6 @@ Interconnect::Interconnect(const GpuConfig &config, MemPools &pools)
       toPart_(config.numPartitions),
       respQ_(config.numPartitions),
       toSm_(config.numSms),
-      popsThisCycle_(config.numPartitions, 0),
       smUsed_(config.numSms, 0),
       partUsed_(config.numPartitions, 0),
       pushedParts_((config.numPartitions + 63) / 64, 0)
@@ -37,7 +36,7 @@ Interconnect::canInject(int sm) const
 }
 
 void
-Interconnect::inject(ReqHandle req, Cycle now, trace::StageSink *sink)
+Interconnect::inject(ReqHandle req, Cycle now, trace::TraceSink *sink)
 {
     MemRequest &r = pools_.reqs.get(req);
     gcl_sim_check(canInject(r.smId), "icnt", now,
@@ -47,7 +46,7 @@ Interconnect::inject(ReqHandle req, Cycle now, trace::StageSink *sink)
               r.lineAddr, tracePc(r),
               static_cast<int16_t>(r.smId), traceFlags(r));
     injectQ_[static_cast<size_t>(r.smId)].push_back(req);
-    injectCount_.fetch_add(1, std::memory_order_relaxed);
+    ++injectCount_;
 }
 
 bool
@@ -61,8 +60,7 @@ Interconnect::popRequest(int part, Cycle now)
 {
     gcl_sim_check(hasRequest(part, now), "icnt", now,
                   "popRequest with none ready");
-    ++popsThisCycle_[static_cast<size_t>(part)];
-    toPartCount_.fetch_sub(1, std::memory_order_relaxed);
+    --toPartCount_;
     return toPart_[static_cast<size_t>(part)].pop();
 }
 
@@ -74,7 +72,7 @@ Interconnect::canRespond(int part) const
 }
 
 void
-Interconnect::respond(ReqHandle req, Cycle now, trace::StageSink *sink)
+Interconnect::respond(ReqHandle req, Cycle now, trace::TraceSink *sink)
 {
     MemRequest &r = pools_.reqs.get(req);
     gcl_sim_check(canRespond(r.partition), "icnt", now,
@@ -84,7 +82,7 @@ Interconnect::respond(ReqHandle req, Cycle now, trace::StageSink *sink)
               r.lineAddr, tracePc(r),
               static_cast<int16_t>(r.partition), traceFlags(r));
     respQ_[static_cast<size_t>(r.partition)].push_back(req);
-    respQCount_.fetch_add(1, std::memory_order_relaxed);
+    ++respQCount_;
 }
 
 bool
@@ -98,12 +96,12 @@ Interconnect::popResponse(int sm, Cycle now)
 {
     gcl_sim_check(hasResponse(sm, now), "icnt", now,
                   "popResponse with none ready");
-    toSmCount_.fetch_sub(1, std::memory_order_relaxed);
+    --toSmCount_;
     return toSm_[static_cast<size_t>(sm)].pop();
 }
 
 void
-Interconnect::requestArbitration(Cycle now, bool add_back_pops)
+Interconnect::requestArbitration(Cycle now)
 {
     // Request side: every partition accepts at most one flit, every SM
     // transmits at most one flit, round-robin over SMs for fairness.
@@ -112,7 +110,7 @@ Interconnect::requestArbitration(Cycle now, bool add_back_pops)
     // executed and matched nothing.
     const unsigned num_sms = config_.numSms;
 
-    if (injectCount_.load(std::memory_order_relaxed) != 0) {
+    if (injectCount_ != 0) {
         std::fill(smUsed_.begin(), smUsed_.end(), 0);
         std::fill(partUsed_.begin(), partUsed_.end(), 0);
         for (unsigned i = 0; i < num_sms; ++i) {
@@ -126,22 +124,17 @@ Interconnect::requestArbitration(Cycle now, bool add_back_pops)
             // Finite partition input buffers: without a credit the flit
             // stays in the SM's injection queue, which eventually surfaces
             // at the L1 as a reservation fail by interconnection
-            // (Section VI). When arbitrating after the partitions ran
-            // (commitCycle), add this cycle's pops back: the serial
-            // arbitration point precedes them.
-            const size_t occupancy =
-                toPart_[static_cast<size_t>(part)].size() +
-                (add_back_pops ? popsThisCycle_[static_cast<size_t>(part)]
-                               : 0);
-            if (occupancy >= config_.partQueueDepth)
+            // (Section VI).
+            if (toPart_[static_cast<size_t>(part)].size() >=
+                config_.partQueueDepth)
                 continue;
             partUsed_[static_cast<size_t>(part)] = 1;
             smUsed_[sm] = 1;
             toPart_[static_cast<size_t>(part)].push(
                 q.front(), now + config_.icntLatency);
             q.pop_front();
-            injectCount_.fetch_sub(1, std::memory_order_relaxed);
-            toPartCount_.fetch_add(1, std::memory_order_relaxed);
+            --injectCount_;
+            ++toPartCount_;
             pushedParts_[static_cast<size_t>(part) / 64] |=
                 uint64_t{1} << (static_cast<size_t>(part) % 64);
         }
@@ -155,7 +148,7 @@ Interconnect::responseArbitration(Cycle now)
     // Response side, symmetric, round-robin over partitions.
     const unsigned num_parts = config_.numPartitions;
 
-    if (respQCount_.load(std::memory_order_relaxed) != 0) {
+    if (respQCount_ != 0) {
         std::fill(smUsed_.begin(), smUsed_.end(), 0);
         std::fill(partUsed_.begin(), partUsed_.end(), 0);
         for (unsigned i = 0; i < num_parts; ++i) {
@@ -171,8 +164,8 @@ Interconnect::responseArbitration(Cycle now)
             toSm_[static_cast<size_t>(sm)].push(q.front(),
                                                 now + config_.icntLatency);
             q.pop_front();
-            respQCount_.fetch_sub(1, std::memory_order_relaxed);
-            toSmCount_.fetch_add(1, std::memory_order_relaxed);
+            --respQCount_;
+            ++toSmCount_;
         }
     }
     respRrPart_ = (respRrPart_ + 1) % num_parts;
@@ -181,22 +174,8 @@ Interconnect::responseArbitration(Cycle now)
 void
 Interconnect::cycle(Cycle now)
 {
-    std::fill(popsThisCycle_.begin(), popsThisCycle_.end(), 0);
-    requestArbitration(now, /*add_back_pops=*/false);
+    requestArbitration(now);
     responseArbitration(now);
-}
-
-void
-Interconnect::beginCycle(Cycle now)
-{
-    std::fill(popsThisCycle_.begin(), popsThisCycle_.end(), 0);
-    responseArbitration(now);
-}
-
-void
-Interconnect::commitCycle(Cycle now)
-{
-    requestArbitration(now, /*add_back_pops=*/true);
 }
 
 size_t
@@ -226,8 +205,7 @@ Interconnect::nextEventCycle(Cycle now) const
 {
     // Waiting arbitration can move a flit next cycle; otherwise the
     // earliest in-flight delivery (to either side) is the event.
-    if (injectCount_.load(std::memory_order_relaxed) != 0 ||
-        respQCount_.load(std::memory_order_relaxed) != 0)
+    if (injectCount_ != 0 || respQCount_ != 0)
         return now + 1;
     Cycle next = ~Cycle{0};
     for (const auto &q : toPart_)

@@ -156,10 +156,9 @@ class Sm
     void drainResponses(Cycle now, Interconnect &icnt);
 
     /**
-     * Defer this SM's global stores/atomics to commitStagedWrites() (the
-     * deterministic-tick write protocol; see functional.hh). The Gpu
-     * enables this on every SM it owns, at every thread count, so results
-     * are identical whatever sim_threads is.
+     * Defer this SM's global stores/atomics to commitStagedWrites(), the
+     * model's end-of-cycle store semantics (see functional.hh). The Gpu
+     * enables this on every SM it owns.
      */
     void enableWriteStaging() { executor_.setStaging(&stagedWrites_); }
 
@@ -313,10 +312,9 @@ class Sm
     PartitionMap partitionMap = nullptr;
 
     /**
-     * Per-SM staging sink (gcl::trace), installed by the Gpu; null when
-     * untraced. Passthrough at sim_threads == 1, buffered otherwise.
+     * Event sink (gcl::trace), installed by the Gpu; null when untraced.
      */
-    trace::StageSink *traceSink = nullptr;
+    trace::TraceSink *traceSink = nullptr;
 
     /** Fault oracle (gcl::guard), installed by the Gpu; null = no faults. */
     guard::FaultInjector *fault = nullptr;

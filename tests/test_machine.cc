@@ -4,8 +4,8 @@
  * (src/sim/machine.hh), the canonical serializer round-trip, registry
  * resolution over the committed configs/ zoo, override layering, and the
  * central byte-identity contract — `--machine=c2050` must be
- * indistinguishable from the compiled-in defaults, stats and trace alike,
- * at any tick-thread count.
+ * indistinguishable from the compiled-in defaults, stats and trace alike
+ * — and the inert sim_threads key must change nothing.
  */
 
 #include <gtest/gtest.h>
@@ -202,24 +202,33 @@ tracedRun(const char *app, GpuConfig config)
     return {ctx.stats().serialize(), trace.str()};
 }
 
-TEST(Machine, C2050IsByteIdenticalToDefaultsAtAnyThreadCount)
+TEST(Machine, C2050IsByteIdenticalToDefaults)
 {
     // The acceptance contract, in miniature: same stats bytes and same
-    // trace bytes for defaults vs the loaded c2050 file, serial and
-    // multi-threaded.
-    for (unsigned threads : {1u, 4u}) {
-        GpuConfig defaults;
-        defaults.simThreads = threads;
-        GpuConfig loaded = loadMachineFile(zooPath("c2050"));
-        loaded.simThreads = threads;
+    // trace bytes for defaults vs the loaded c2050 file.
+    const auto base = tracedRun("gaus", GpuConfig{});
+    const auto machine = tracedRun("gaus", loadMachineFile(zooPath("c2050")));
+    EXPECT_EQ(base.first, machine.first) << "stats diverge";
+    EXPECT_EQ(base.second, machine.second) << "trace diverges";
+}
 
-        const auto base = tracedRun("gaus", defaults);
-        const auto machine = tracedRun("gaus", loaded);
-        EXPECT_EQ(base.first, machine.first)
-            << "stats diverge at simThreads=" << threads;
-        EXPECT_EQ(base.second, machine.second)
-            << "trace diverges at simThreads=" << threads;
-    }
+TEST(Machine, SimThreadsKeyIsInert)
+{
+    // Override strings written for the retired intra-run parallel tick
+    // (e.g. the benchmark's "crit=1,sim_threads=2") must keep parsing,
+    // stay out of the fingerprint, and change no stats or trace byte.
+    GpuConfig plain = loadMachineFile(zooPath("tiny"));
+    plain.applyOverrides("crit=1");
+    GpuConfig threaded = loadMachineFile(zooPath("tiny"));
+    threaded.applyOverrides("crit=1,sim_threads=2");
+    EXPECT_EQ(threaded.simThreads, 2u);
+    EXPECT_EQ(threaded.fingerprint(), plain.fingerprint());
+    EXPECT_THROW(threaded.applyOverrides("sim_threads=two"), SimError);
+
+    const auto base = tracedRun("gaus", plain);
+    const auto other = tracedRun("gaus", threaded);
+    EXPECT_EQ(base.first, other.first) << "stats diverge";
+    EXPECT_EQ(base.second, other.second) << "trace diverges";
 }
 
 TEST(Machine, TinyMachineRunsARealWorkload)

@@ -4,7 +4,7 @@
  * spans every unit certified dead (config.cycleSkipping) is a pure
  * host-side optimization, so a run with skipping on must produce stats
  * and trace streams BYTE-identical to the same run ticked cycle by
- * cycle — at every sim_threads, under injected fault pressure, across a
+ * cycle — under injected fault pressure, across a
  * checkpoint/resume, and in how it trips the --max-cycles deadline.
  *
  * This is the bit-identity proof referenced from Gpu::launch and
@@ -49,13 +49,12 @@ struct RunArtifacts
 
 /** Run @p app to completion and capture every artifact it produced. */
 RunArtifacts
-runApp(const std::string &app, bool skipping, unsigned sim_threads = 1,
+runApp(const std::string &app, bool skipping,
        const std::string &fault_plan = "", gcl::sim::Cycle max_cycles = 0,
        bool crit = false)
 {
     GpuConfig config{};
     config.cycleSkipping = skipping;
-    config.simThreads = sim_threads;
     config.faultPlan = fault_plan;
     config.crit = crit;
     if (max_cycles != 0)
@@ -103,18 +102,6 @@ TEST(Skip, ArtifactsBitIdenticalWithSkippingOnAndOff)
         expectIdentical(runApp(app, true), runApp(app, false), app);
 }
 
-TEST(Skip, ArtifactsBitIdenticalAcrossTickThreads)
-{
-    // The jump decision runs on the coordinator from end-of-cycle
-    // committed state, so the spans it finds must not depend on the
-    // tick-thread count — and must still match the eager reference.
-    const RunArtifacts t1 = runApp("gaus", true, 1);
-    const RunArtifacts t4 = runApp("gaus", true, 4);
-    const RunArtifacts eager4 = runApp("gaus", false, 4);
-    expectIdentical(t1, t4, "gaus threads 1 vs 4");
-    expectIdentical(t4, eager4, "gaus threads 4, skip vs eager");
-}
-
 TEST(Skip, ArtifactsBitIdenticalUnderInjectedFaults)
 {
     // Seeded backpressure windows (MSHR/ICNT/DRAM refusals, dropped
@@ -122,8 +109,8 @@ TEST(Skip, ArtifactsBitIdenticalUnderInjectedFaults)
     // next-event certificates license the jumps. Fault windows also
     // disable the frozen-stall contract (MemPartition::ropHeadStall_,
     // Sm::ldstHeadStall_), so this leg proves the conservative fallback.
-    expectIdentical(runApp("gaus", true, 1, "seed=42;auto=3"),
-                    runApp("gaus", false, 1, "seed=42;auto=3"),
+    expectIdentical(runApp("gaus", true, "seed=42;auto=3"),
+                    runApp("gaus", false, "seed=42;auto=3"),
                     "gaus faulted");
 }
 
@@ -132,8 +119,8 @@ TEST(Skip, CritReportBitIdenticalWithSkippingOnAndOff)
     // The crit profiler charges one issue-slot disposition per SM-cycle;
     // skipped and dormant spans are credited in bulk, so the exported
     // crit.* schema (which crit_report renders) must not move.
-    expectIdentical(runApp("gaus", true, 1, "", 0, /*crit=*/true),
-                    runApp("gaus", false, 1, "", 0, /*crit=*/true),
+    expectIdentical(runApp("gaus", true, "", 0, /*crit=*/true),
+                    runApp("gaus", false, "", 0, /*crit=*/true),
                     "gaus crit");
 }
 
@@ -190,8 +177,8 @@ TEST(Skip, MaxCyclesDeadlineTripsAtTheSameCycle)
     // A jump must never overshoot the --max-cycles deadline: the timeout
     // has to fire at exactly the cycle the eager loop reports, with the
     // same structured failure record.
-    const RunArtifacts skip = runApp("gaus", true, 1, "", 2'000);
-    const RunArtifacts eager = runApp("gaus", false, 1, "", 2'000);
+    const RunArtifacts skip = runApp("gaus", true, "", 2'000);
+    const RunArtifacts eager = runApp("gaus", false, "", 2'000);
     EXPECT_EQ(skip.failureKind, "timeout");
     EXPECT_EQ(skip.failureKind, eager.failureKind);
     EXPECT_EQ(skip.failureMessage, eager.failureMessage)
