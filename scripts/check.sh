@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Full repository check: configure, build, run the test suite, then smoke
-# the observability path end-to-end — a traced bench run whose Chrome-JSON
-# trace and stats JSON are validated by tools/trace_check — and verify the
-# parallel sweep (--jobs) produces byte-identical cache entries to serial.
+# Full repository check: configure, build, run the test suite (ctest, one
+# test process per core), then smoke the observability path end-to-end — a
+# traced bench run whose Chrome-JSON trace and stats JSON are validated by
+# tools/trace_check — and diff the byte-identity gates: --jobs=3 vs serial,
+# cycle_skipping=0 vs on, resume vs uninterrupted, and the goldens.
 #
 # Usage: scripts/check.sh            (from anywhere; builds into ./build)
 #        scripts/check.sh --tsan     additionally build with
@@ -40,7 +41,7 @@ JOBS=$(nproc 2> /dev/null || echo 4)
 
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j"$JOBS"
-ctest --test-dir "$BUILD_DIR" --output-on-failure
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -92,19 +93,10 @@ diff tests/goldens/crit_report_small.txt "$tmp/crit-top3.txt" \
     || { echo "check: crit_report diverged from the committed golden" >&2
          exit 1; }
 
-# Idle-unit gating (Gpu::tick skipping quiescent partitions and response
-# drains) is a pure host-side optimization: a sweep with the gate forced
-# off must leave byte-identical cache entries. idle_gating is deliberately
-# excluded from the config fingerprint so both runs share cache keys.
-GCL_BENCH_CACHE="$tmp/cache-nogate" "$BUILD_DIR/bench/fig1_load_classes" \
-    --apps=$SMALL_APPS --fresh --jobs=1 \
-    --sim-config=idle_gating=0 > /dev/null 2> /dev/null
-diff -r "$tmp/cache-j1" "$tmp/cache-nogate" \
-    || { echo "check: idle gating changed simulation results" >&2; exit 1; }
-
 # Event-driven cycle skipping (Gpu jumping the clock over spans every
-# unit certified dead) is likewise a pure host-side optimization: a sweep
-# with the skip forced off must leave byte-identical cache entries.
+# unit certified dead) is a pure host-side optimization: a sweep with the
+# skip forced off — the simulator's reference path, every cycle run —
+# must leave byte-identical cache entries.
 # cycle_skipping is deliberately excluded from the config fingerprint so
 # both runs share cache keys.
 GCL_BENCH_CACHE="$tmp/cache-noskip" "$BUILD_DIR/bench/fig1_load_classes" \
@@ -393,13 +385,12 @@ if [ "$ASAN" = 1 ]; then
     # The guard tests unwind SimErrors out of half-advanced device models;
     # ASan verifies nothing in flight leaks across the recovery. Pool*
     # includes the GCL_POOL_CHECKED death tests (stale-handle panics are
-    # compiled in under ASan), IdleGating* re-proves gating bit-identity
-    # with pool checking live, and Snap* exercises the checkpoint
+    # compiled in under ASan), and Snap* exercises the checkpoint
     # save/restore paths (raw-byte serialization, resume unwinding).
-    # Skip* re-proves cycle-skip bit-identity (including the fault-plan
-    # and resume legs) with pool checking live.
+    # Skip* re-proves cycle-skip bit-identity (including the fault-plan,
+    # resume and committed-digest legs) with pool checking live.
     "$ASAN_DIR/tests/gcl_tests" \
-        --gtest_filter='FaultPlan*:ConfigOverride*:WatchdogUnit*:Guard*:Pool*:IdleGating*:Snap*:Skip*'
+        --gtest_filter='FaultPlan*:ConfigOverride*:WatchdogUnit*:Guard*:Pool*:Snap*:Skip*'
 fi
 
 echo "check: all green"

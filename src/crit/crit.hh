@@ -150,16 +150,9 @@ class SmCrit
     /** DataHazard slots split by the producer's load class. */
     uint64_t dhzByClass[kNumClasses] = {};
 
-    /** Idle SM cycle: all @p width slots are lost to IdleNoCta. */
-    void idleCycle(unsigned width)
-    {
-        ++cycles;
-        stall[static_cast<unsigned>(StallReason::IdleNoCta)] += width;
-    }
-
     /**
-     * @p count idle cycles at once (event-driven skip crediting a dead
-     * span); equivalent to calling idleCycle(width) count times.
+     * @p count idle SM cycles: all @p width issue slots of each are lost
+     * to IdleNoCta.
      */
     void idleCycles(unsigned width, uint64_t count)
     {

@@ -70,7 +70,7 @@ void
 ThreadPool::wait()
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    allIdle_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
+    drained_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
 }
 
 void
@@ -94,7 +94,7 @@ ThreadPool::workerLoop()
             std::unique_lock<std::mutex> lock(mutex_);
             --running_;
             if (queue_.empty() && running_ == 0)
-                allIdle_.notify_all();
+                drained_.notify_all();
         }
     }
 }

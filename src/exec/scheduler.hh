@@ -79,7 +79,7 @@ class ThreadPool
     std::deque<std::function<void()>> queue_;
     std::mutex mutex_;
     std::condition_variable workReady_;   //!< queue gained work / shutdown
-    std::condition_variable allIdle_;     //!< queue empty and no job running
+    std::condition_variable drained_;     //!< queue empty and no job running
     size_t running_ = 0;                  //!< jobs currently executing
     bool shutdown_ = false;
 };

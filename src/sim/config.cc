@@ -122,6 +122,17 @@ numericKey(const char *name, T GpuConfig::*field)
             }};
 }
 
+/** A 0/1 switch. */
+OverrideKey
+flagKey(const char *name, bool GpuConfig::*field)
+{
+    return {name, [name, field](GpuConfig &config, const std::string &v) {
+                if (v != "0" && v != "1")
+                    badValue(name, v, "one of 0, 1");
+                config.*field = v == "1";
+            }};
+}
+
 template <typename T>
 OverrideKey
 cacheKey(const char *name, CacheConfig GpuConfig::*cache,
@@ -299,34 +310,9 @@ buildOverrideKeys()
         numericKey("sms_per_l2_cluster", &GpuConfig::smsPerL2Cluster),
         numericKey("nondet_split_requests",
                    &GpuConfig::nondetSplitRequests),
-        {"idle_gating",
-         [](GpuConfig &config, const std::string &v) {
-             if (v == "0")
-                 config.idleGating = false;
-             else if (v == "1")
-                 config.idleGating = true;
-             else
-                 badValue("idle_gating", v, "one of 0, 1");
-         }},
-        {"cycle_skipping",
-         [](GpuConfig &config, const std::string &v) {
-             if (v == "0")
-                 config.cycleSkipping = false;
-             else if (v == "1")
-                 config.cycleSkipping = true;
-             else
-                 badValue("cycle_skipping", v, "one of 0, 1");
-         }},
+        flagKey("cycle_skipping", &GpuConfig::cycleSkipping),
         numericKey("sim_threads", &GpuConfig::simThreads),
-        {"crit",
-         [](GpuConfig &config, const std::string &v) {
-             if (v == "0")
-                 config.crit = false;
-             else if (v == "1")
-                 config.crit = true;
-             else
-                 badValue("crit", v, "one of 0, 1");
-         }},
+        flagKey("crit", &GpuConfig::crit),
         // Run control / robustness
         numericKey("max_cycles", &GpuConfig::maxCycles),
         numericKey("watchdog_interval", &GpuConfig::watchdogInterval),
@@ -345,15 +331,7 @@ buildOverrideKeys()
              SamplePlan::parse(v); // eager validation, like fault_plan
              config.sample = v;
          }},
-        {"ff_warm",
-         [](GpuConfig &config, const std::string &v) {
-             if (v == "0")
-                 config.ffWarm = false;
-             else if (v == "1")
-                 config.ffWarm = true;
-             else
-                 badValue("ff_warm", v, "one of 0, 1");
-         }},
+        flagKey("ff_warm", &GpuConfig::ffWarm),
     };
     // One `op_<class> <latency>:<initiation>` key per opcode class, the
     // machine-file form of GPGPU-Sim's ptx_opcode_latency_* tables.
@@ -467,8 +445,6 @@ GpuConfig::describe() const
     if (nondetSplitRequests)
         oss << "WarpSplit  " << nondetSplitRequests
             << " requests per non-deterministic sub-warp\n";
-    if (!idleGating)
-        oss << "IdleGating off (every unit ticks every cycle)\n";
     if (!cycleSkipping)
         oss << "CycleSkip  off (the clock never jumps over dead spans)\n";
     if (crit)
@@ -488,11 +464,11 @@ uint64_t
 GpuConfig::fingerprint() const
 {
     // FNV-1a over the numeric fields; any change invalidates cached runs.
-    // Run-control knobs (max_cycles, watchdog_*, idle_gating,
-    // cycle_skipping) and the inert sim_threads are deliberately NOT
-    // mixed in: they never change the stats of a run that completes, so
-    // tightening a budget must not orphan valid cache entries. The fault plan IS mixed in — injected backpressure changes
-    // timing.
+    // Run-control knobs (max_cycles, watchdog_*, cycle_skipping) and the
+    // inert sim_threads are deliberately NOT mixed in: they never change
+    // the stats of a run that completes, so tightening a budget must not
+    // orphan valid cache entries. The fault plan IS mixed in — injected
+    // backpressure changes timing.
     uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](uint64_t v) {
         h ^= v;

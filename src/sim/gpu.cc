@@ -16,6 +16,127 @@
 namespace gcl::sim
 {
 
+namespace
+{
+
+/**
+ * Visit the units whose bit is set in word(w), w in [0, words), in
+ * unit-id order until @p fn returns true; returns whether it did. Each
+ * word is read once, before its first unit is visited, so @p fn may set
+ * or clear bits of the masks being walked.
+ */
+template <typename Word, typename Fn>
+bool
+scanBits(size_t words, Word &&word, Fn &&fn)
+{
+    for (size_t w = 0; w < words; ++w)
+        for (uint64_t bits = word(w); bits != 0; bits &= bits - 1)
+            if (fn(static_cast<unsigned>(
+                    w * 64 + static_cast<size_t>(std::countr_zero(bits)))))
+                return true;
+    return false;
+}
+
+/** Visit every set bit of a unit bitmask, in unit-id order. */
+template <typename Fn>
+void
+forEachSetBit(const std::vector<uint64_t> &mask, Fn &&fn)
+{
+    scanBits(mask.size(), [&](size_t w) { return mask[w]; },
+             [&](unsigned unit) {
+                 fn(unit);
+                 return false;
+             });
+}
+
+/** Visit every awake unit (active and not dormant), in unit-id order. */
+template <typename Fn>
+void
+forEachAwake(const std::vector<uint64_t> &active,
+             const std::vector<uint64_t> &dormant, Fn &&fn)
+{
+    scanBits(active.size(), [&](size_t w) { return active[w] & ~dormant[w]; },
+             [&](unsigned unit) {
+                 fn(unit);
+                 return false;
+             });
+}
+
+/**
+ * Visit the set bits of @p mask in unit-id order until @p fn returns
+ * true; returns whether it did.
+ */
+template <typename Fn>
+bool
+anySetBit(const std::vector<uint64_t> &mask, Fn &&fn)
+{
+    return scanBits(mask.size(), [&](size_t w) { return mask[w]; }, fn);
+}
+
+/**
+ * Per-launch precompute: join the classifier's verdicts and resolve each
+ * pc's scoreboard mask, opcode-class timing and issue class into the
+ * dense tables the per-cycle issue path reads.
+ */
+void
+precomputeLaunch(LaunchContext &launch, const GpuConfig &config)
+{
+    const ptx::Kernel &kernel = *launch.kernel;
+
+    // Section V: classify every global load once, statically. The dense
+    // class table joins the verdicts into crit's stall attribution (and is
+    // cheap enough to build even when the profiler is off).
+    core::LoadClassifier classifier(kernel);
+    launch.nonDetPc.assign(kernel.size(), false);
+    launch.pcLoadClass.assign(kernel.size(), 0);
+    for (const auto &info : classifier.globalLoads()) {
+        const bool non_det = info.cls == core::LoadClass::NonDeterministic;
+        launch.nonDetPc[info.pc] = non_det;
+        launch.pcLoadClass[info.pc] = non_det ? 2 : 1;
+    }
+
+    // Precompute each pc's scoreboard dependence mask (sources, guard
+    // predicate, destination) so the per-cycle issue check is a word-wise
+    // AND instead of a walk over the operand list.
+    launch.sbWords = (kernel.numRegs() + 63) / 64;
+    launch.sbMask.assign(kernel.size() * launch.sbWords, 0);
+    launch.issueClass.assign(kernel.size(), LaunchContext::IssueSp);
+    launch.opLatency.assign(kernel.size(), 1);
+    launch.opInitiation.assign(kernel.size(), 1);
+    for (size_t pc = 0; pc < kernel.size(); ++pc) {
+        const ptx::Instruction &inst = kernel.inst(pc);
+        // Resolve the machine description's opcode-class timing to dense
+        // per-pc values the issue path can read without re-classifying.
+        const FuTiming &timing =
+            config.opTiming[static_cast<size_t>(
+                opClassFor(inst.op, inst.type))];
+        launch.opLatency[pc] = static_cast<uint16_t>(timing.latency);
+        launch.opInitiation[pc] =
+            static_cast<uint16_t>(timing.initiation);
+        if (inst.isExit())
+            launch.issueClass[pc] = LaunchContext::IssueExit;
+        else if (inst.isBarrier())
+            launch.issueClass[pc] = LaunchContext::IssueBarrier;
+        else if (inst.isMemory())
+            launch.issueClass[pc] = LaunchContext::IssueMemory;
+        else if (inst.isSfu())
+            launch.issueClass[pc] = LaunchContext::IssueSfu;
+        uint64_t *mask = &launch.sbMask[pc * launch.sbWords];
+        auto mark = [&](ptx::RegId r) {
+            mask[r / 64] |= uint64_t{1} << (r % 64);
+        };
+        for (const auto &src : inst.srcs)
+            if (src.isReg())
+                mark(src.reg);
+        if (inst.guarded)
+            mark(inst.predReg);
+        if (inst.writesDst())
+            mark(inst.dst);
+    }
+}
+
+} // namespace
+
 Gpu::Gpu(GpuConfig config)
     : config_(config), stats_(config_), icnt_(config_, pools_),
       watchdog_(config_.watchdogInterval, config_.watchdogBudget)
@@ -197,8 +318,7 @@ Gpu::dispatchCtas(DispatchState &dispatch, Cycle now)
     const LaunchContext &launch = *dispatch.launch;
 
     auto place = [&](unsigned sm, uint64_t linear) {
-        if (config_.idleGating)
-            activateSm(sm, now);
+        activateSm(sm, now);
         const uint32_t cx = static_cast<uint32_t>(linear % launch.grid.x);
         const uint32_t cy =
             static_cast<uint32_t>((linear / launch.grid.x) % launch.grid.y);
@@ -208,37 +328,26 @@ Gpu::dispatchCtas(DispatchState &dispatch, Cycle now)
         sms_[sm]->launchCta(static_cast<uint32_t>(linear), cx, cy, cz);
     };
 
-    // Sampled simulation: a windowed launch dispatches the linear ids of
-    // the detailed window, each pinned (strict, head-of-line) to the SM
-    // its id would get from this policy's first dispatch wave in a full
-    // run — the window must see the warmed L1 of the RIGHT SM, and
-    // cross-launch L1 reuse must land where the full run leaves it.
-    if (dispatch.ctaList) {
+    // Strict (head-of-line) placement: the designated SM must have room
+    // before the next CTA can be placed. The clustered policy packs
+    // neighboring CTAs onto the same SM in batches. A windowed launch
+    // (sampled simulation) dispatches the linear ids of its detailed
+    // window, each pinned to the SM its id would get from this policy's
+    // first dispatch wave in a full run — the window must see the warmed
+    // L1 of the RIGHT SM, and cross-launch L1 reuse must land where the
+    // full run leaves it.
+    const bool clustered = config_.ctaSched == CtaSchedPolicy::Clustered;
+    if (clustered || dispatch.ctaList) {
         while (dispatch.next < dispatch.total) {
-            const uint64_t linear = (*dispatch.ctaList)[dispatch.next];
+            const uint64_t linear = dispatch.ctaList
+                ? (*dispatch.ctaList)[dispatch.next]
+                : dispatch.next;
             const unsigned sm = static_cast<unsigned>(
-                config_.ctaSched == CtaSchedPolicy::Clustered
-                    ? (linear / config_.ctaClusterSize) % config_.numSms
-                    : linear % config_.numSms);
+                clustered ? (linear / config_.ctaClusterSize) % config_.numSms
+                          : linear % config_.numSms);
             if (!sms_[sm]->canTakeCta())
                 break;
             place(sm, linear);
-            ++dispatch.next;
-        }
-        return;
-    }
-    auto linearOf = [&](uint64_t position) { return position; };
-
-    if (config_.ctaSched == CtaSchedPolicy::Clustered) {
-        // Neighboring CTAs are packed onto the same SM in batches. The
-        // assignment is strict (head-of-line): the designated SM must have
-        // room before the next CTA can be placed.
-        while (dispatch.next < dispatch.total) {
-            const unsigned sm = static_cast<unsigned>(
-                (dispatch.next / config_.ctaClusterSize) % config_.numSms);
-            if (!sms_[sm]->canTakeCta())
-                break;
-            place(sm, linearOf(dispatch.next));
             ++dispatch.next;
         }
         return;
@@ -251,7 +360,7 @@ Gpu::dispatchCtas(DispatchState &dispatch, Cycle now)
         for (unsigned i = 0; i < config_.numSms; ++i) {
             const unsigned sm = (dispatch.rrSm + i) % config_.numSms;
             if (sms_[sm]->canTakeCta()) {
-                place(sm, linearOf(dispatch.next));
+                place(sm, dispatch.next);
                 ++dispatch.next;
                 dispatch.rrSm = (sm + 1) % config_.numSms;
                 placed = true;
@@ -262,40 +371,6 @@ Gpu::dispatchCtas(DispatchState &dispatch, Cycle now)
             break;
     }
 }
-
-bool
-Gpu::allIdle() const
-{
-    for (const auto &sm : sms_)
-        if (sm->busy())
-            return false;
-    if (!icnt_.idle())
-        return false;
-    for (const auto &part : partitions_)
-        if (!part->idle())
-            return false;
-    return true;
-}
-
-namespace
-{
-
-/** Visit every set bit of a unit bitmask, in unit-id order. */
-template <typename Fn>
-void
-forEachSetBit(const std::vector<uint64_t> &mask, Fn &&fn)
-{
-    for (size_t w = 0; w < mask.size(); ++w) {
-        uint64_t word = mask[w];
-        while (word != 0) {
-            fn(static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word))));
-            word &= word - 1;
-        }
-    }
-}
-
-} // namespace
 
 void
 Gpu::activateSm(unsigned sm, Cycle now)
@@ -310,9 +385,9 @@ Gpu::activateSm(unsigned sm, Cycle now)
             wakeSm(sm, now);
         return;
     }
-    // Settle the idle span the eager loop would have ticked one cycle at
-    // a time: [idleFrom, now). This cycle itself runs for real — the SM
-    // is busy from this launchCta on.
+    // Settle the idle span [idleFrom, now): an idle SM is credited one
+    // smCycles per cycle. This cycle itself runs for real — the SM is
+    // busy from this launchCta on.
     if (smIdleFrom_[sm] < now)
         sms_[sm]->idleCycles(now - smIdleFrom_[sm]);
     word |= bit;
@@ -340,37 +415,24 @@ Gpu::deactivateDrainedUnits(Cycle now)
     // their drain state is frozen exactly as it was at span onset (a
     // dormant SM is busy by construction; a dormant partition either
     // holds requests or waits on in-flight flits).
-    for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-        uint64_t word = activeSmMask_[w] & ~dormantSmMask_[w];
-        while (word != 0) {
-            const unsigned s = static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word)));
-            word &= word - 1;
-            if (sms_[s]->busy())
-                continue;
-            activeSmMask_[w] &= ~(uint64_t{1} << (s % 64));
-            --activeSmCount_;
-            // The eager loop would idle-tick this SM from the next
-            // cycle on.
-            smIdleFrom_[s] = now + 1;
-        }
-    }
-    for (size_t w = 0; w < activePartMask_.size(); ++w) {
-        uint64_t word = activePartMask_[w] & ~dormantPartMask_[w];
-        while (word != 0) {
-            const unsigned p = static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word)));
-            word &= word - 1;
-            // A drained partition stays active while flits are still
-            // flying toward it — they arrive without any further push
-            // notification.
-            if (!partitions_[p]->idle() ||
-                icnt_.pendingToPart(static_cast<int>(p)) != 0)
-                continue;
-            activePartMask_[w] &= ~(uint64_t{1} << (p % 64));
-            --activePartCount_;
-        }
-    }
+    forEachAwake(activeSmMask_, dormantSmMask_, [&](unsigned s) {
+        if (sms_[s]->busy())
+            return;
+        activeSmMask_[s / 64] &= ~(uint64_t{1} << (s % 64));
+        --activeSmCount_;
+        // Idle from the next cycle on: one smCycles credit per cycle,
+        // settled lazily from smIdleFrom_.
+        smIdleFrom_[s] = now + 1;
+    });
+    forEachAwake(activePartMask_, dormantPartMask_, [&](unsigned p) {
+        // A drained partition stays active while flits are still flying
+        // toward it — they arrive without any further push notification.
+        if (!partitions_[p]->idle() ||
+            icnt_.pendingToPart(static_cast<int>(p)) != 0)
+            return;
+        activePartMask_[p / 64] &= ~(uint64_t{1} << (p % 64));
+        --activePartCount_;
+    });
 }
 
 void
@@ -430,61 +492,48 @@ Gpu::wakeAllDormantUnits(Cycle resume)
 void
 Gpu::updateDormantUnits(Cycle now)
 {
-    for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-        uint64_t word = activeSmMask_[w] & ~dormantSmMask_[w];
-        while (word != 0) {
-            const unsigned s = static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word)));
-            word &= word - 1;
-            const Cycle event = sms_[s]->nextEventCycle(now);
-            if (event == now + 1)
-                continue;
-            // A FailIcnt-frozen head whose injection credit already came
-            // back (this cycle's arbitration popped the queue) retries
-            // successfully next cycle — not dormant.
-            if (sms_[s]->ldstStalledOnIcnt() &&
-                icnt_.canInject(static_cast<int>(s)))
-                continue;
-            // min(own event, earliest in-flight response delivery). Later
-            // deliveries (flits still upstream of toSm_) are caught by
-            // wakeDueUnits' per-cycle hasResponse check when they ripen.
-            const Cycle resp = icnt_.respHeadReadyAt(static_cast<int>(s));
-            const Cycle wake = event < resp ? event : resp;
-            if (wake <= now + 1)
-                continue;
-            dormantSmMask_[w] |= uint64_t{1} << (s % 64);
-            dormantFrom_[s] = now + 1;
-            dormantWakeAt_[s] = wake;
+    forEachAwake(activeSmMask_, dormantSmMask_, [&](unsigned s) {
+        const Cycle event = sms_[s]->nextEventCycle(now);
+        if (event == now + 1)
+            return;
+        // A FailIcnt-frozen head whose injection credit already came back
+        // (this cycle's arbitration popped the queue) retries successfully
+        // next cycle — not dormant.
+        if (sms_[s]->ldstStalledOnIcnt() &&
+            icnt_.canInject(static_cast<int>(s)))
+            return;
+        // min(own event, earliest in-flight response delivery). Later
+        // deliveries (flits still upstream of toSm_) are caught by
+        // wakeDueUnits' per-cycle hasResponse check when they ripen.
+        const Cycle resp = icnt_.respHeadReadyAt(static_cast<int>(s));
+        const Cycle wake = event < resp ? event : resp;
+        if (wake <= now + 1)
+            return;
+        dormantSmMask_[s / 64] |= uint64_t{1} << (s % 64);
+        dormantFrom_[s] = now + 1;
+        dormantWakeAt_[s] = wake;
+    });
+    forEachAwake(activePartMask_, dormantPartMask_, [&](unsigned p) {
+        const Cycle event = partitions_[p]->nextEventCycle(now);
+        if (event == now + 1)
+            return;
+        // min(own event, earliest in-flight arrival it has room to
+        // accept). The ROP occupancy is frozen during the span, so the
+        // room check holds for its whole length; arrivals pushed after
+        // the span starts are caught by wakeDueUnits' per-cycle
+        // hasRequest check when they ripen.
+        Cycle wake = event;
+        if (partitions_[p]->canAcceptArrival()) {
+            const Cycle arrival = icnt_.reqHeadReadyAt(static_cast<int>(p));
+            if (arrival < wake)
+                wake = arrival;
         }
-    }
-    for (size_t w = 0; w < activePartMask_.size(); ++w) {
-        uint64_t word = activePartMask_[w] & ~dormantPartMask_[w];
-        while (word != 0) {
-            const unsigned p = static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word)));
-            word &= word - 1;
-            const Cycle event = partitions_[p]->nextEventCycle(now);
-            if (event == now + 1)
-                continue;
-            // min(own event, earliest in-flight arrival it has room to
-            // accept). The ROP occupancy is frozen during the span, so
-            // the room check holds for its whole length; arrivals pushed
-            // after the span starts are caught by wakeDueUnits'
-            // per-cycle hasRequest check when they ripen.
-            Cycle wake = event;
-            if (partitions_[p]->canAcceptArrival()) {
-                const Cycle arrival =
-                    icnt_.reqHeadReadyAt(static_cast<int>(p));
-                if (arrival < wake)
-                    wake = arrival;
-            }
-            if (wake <= now + 1)
-                continue;
-            dormantPartMask_[w] |= uint64_t{1} << (p % 64);
-            dormantPartFrom_[p] = now + 1;
-            dormantPartWakeAt_[p] = wake;
-        }
-    }
+        if (wake <= now + 1)
+            return;
+        dormantPartMask_[p / 64] |= uint64_t{1} << (p % 64);
+        dormantPartFrom_[p] = now + 1;
+        dormantPartWakeAt_[p] = wake;
+    });
 }
 
 void
@@ -519,64 +568,48 @@ Gpu::skipTarget(Cycle now, Cycle start)
     // flag test per active SM before anything else is asked. (A head
     // stalled on a frozen L1 resource does NOT pin: its retries are
     // bulk-credited by Sm::skipCycles.)
-    for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-        uint64_t word = activeSmMask_[w];
-        while (word != 0) {
-            const unsigned s = static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word)));
-            word &= word - 1;
-            const Cycle event = sms_[s]->nextEventCycle(now);
-            if (event == now + 1)
-                return now + 1;
-            // A FailIcnt-frozen head with its injection credit back
-            // injects next cycle (the icnt scan below cannot see this:
-            // the freed queue may leave the whole crossbar empty).
-            if (sms_[s]->ldstStalledOnIcnt() &&
-                icnt_.canInject(static_cast<int>(s)))
-                return now + 1;
-            calendar_.offer(event);
-        }
-    }
-    for (size_t w = 0; w < activePartMask_.size(); ++w) {
-        uint64_t word = activePartMask_[w];
-        while (word != 0) {
-            const unsigned p = static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word)));
-            word &= word - 1;
-            const Cycle event = partitions_[p]->nextEventCycle(now);
-            if (event == now + 1)
-                return now + 1;
-            calendar_.offer(event);
-        }
-    }
+    auto sm_pins = [&](unsigned s) {
+        const Cycle event = sms_[s]->nextEventCycle(now);
+        if (event == now + 1)
+            return true;
+        // A FailIcnt-frozen head with its injection credit back injects
+        // next cycle (the icnt scan above cannot see this: the freed
+        // queue may leave the whole crossbar empty).
+        if (sms_[s]->ldstStalledOnIcnt() &&
+            icnt_.canInject(static_cast<int>(s)))
+            return true;
+        calendar_.offer(event);
+        return false;
+    };
+    auto part_pins = [&](unsigned p) {
+        const Cycle event = partitions_[p]->nextEventCycle(now);
+        if (event == now + 1)
+            return true;
+        calendar_.offer(event);
+        return false;
+    };
+    if (anySetBit(activeSmMask_, sm_pins) ||
+        anySetBit(activePartMask_, part_pins))
+        return now + 1;
 
     // Deadlines a jump must not overshoot. Each fires at exactly the
-    // cycle the eager loop reaches it, so landing ON the deadline makes
+    // cycle the per-cycle loop reaches it, so landing ON the deadline makes
     // the next iteration take the identical action at the identical
     // cycle: the Timeout throw, the watchdog progress check, the
     // premature-stop fault, the timeline sample. The cooperative cancel
     // poll is deliberately not clamped — cancellation arrives at
     // wall-clock-arbitrary points, and no artifact depends on where the
     // poll lands.
-    Cycle deadline = config_.maxCycles;
-    if (watchdog_.nextCheckCycle() < deadline)
-        deadline = watchdog_.nextCheckCycle();
-    if (fault_) {
-        const Cycle stop = fault_->plan().nextStopAfter(now);
-        if (stop < deadline)
-            deadline = stop;
-    }
-    if (timelineInterval_ != 0 && GCL_TRACE_ACTIVE(traceSink_)) {
-        const Cycle sample =
-            now + (timelineInterval_ - (now - start) % timelineInterval_);
-        if (sample < deadline)
-            deadline = sample;
-    }
+    Cycle deadline = std::min(config_.maxCycles, watchdog_.nextCheckCycle());
+    if (fault_)
+        deadline = std::min(deadline, fault_->plan().nextStopAfter(now));
+    if (timelineInterval_ != 0 && GCL_TRACE_ACTIVE(traceSink_))
+        deadline = std::min(deadline, now + timelineInterval_ -
+                                          (now - start) % timelineInterval_);
 
-    const Cycle event = calendar_.next();
-    const Cycle target = event < deadline ? event : deadline;
+    const Cycle target = std::min(calendar_.next(), deadline);
     // Nothing ever ripens and every deadline is disabled: a genuine
-    // deadlock with the watchdog off. Spin like the eager loop would.
+    // deadlock with the watchdog off. Spin one cycle at a time.
     if (target == EventCalendar::kNever)
         return now + 1;
     return target;
@@ -643,6 +676,13 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
         firstBoundaryFired_ = true;
         boundaryHook_(kernelsDone_);
     }
+    // Kernel boundary k: the device is fully drained — the one point
+    // where a checkpoint captures the exact mid-run state.
+    auto retire = [&] {
+        ++kernelsDone_;
+        if (boundaryHook_)
+            boundaryHook_(kernelsDone_);
+    };
 
     LaunchContext launch;
     launch.kernel = &kernel;
@@ -650,150 +690,31 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
     launch.grid = grid;
     launch.cta = cta;
     launch.params = std::move(params);
+    precomputeLaunch(launch, config_);
 
-    // Section V: classify every global load once, statically. The dense
-    // class table joins the verdicts into crit's stall attribution (and is
-    // cheap enough to build even when the profiler is off).
-    core::LoadClassifier classifier(kernel);
-    launch.nonDetPc.assign(kernel.size(), false);
-    launch.pcLoadClass.assign(kernel.size(), 0);
-    for (const auto &info : classifier.globalLoads()) {
-        const bool non_det = info.cls == core::LoadClass::NonDeterministic;
-        launch.nonDetPc[info.pc] = non_det;
-        launch.pcLoadClass[info.pc] = non_det ? 2 : 1;
-    }
-
-    // Precompute each pc's scoreboard dependence mask (sources, guard
-    // predicate, destination) so the per-cycle issue check is a word-wise
-    // AND instead of a walk over the operand list.
-    launch.sbWords = (kernel.numRegs() + 63) / 64;
-    launch.sbMask.assign(kernel.size() * launch.sbWords, 0);
-    launch.issueClass.assign(kernel.size(), LaunchContext::IssueSp);
-    launch.opLatency.assign(kernel.size(), 1);
-    launch.opInitiation.assign(kernel.size(), 1);
-    for (size_t pc = 0; pc < kernel.size(); ++pc) {
-        const ptx::Instruction &inst = kernel.inst(pc);
-        // Resolve the machine description's opcode-class timing to dense
-        // per-pc values the issue path can read without re-classifying.
-        const FuTiming &timing =
-            config_.opTiming[static_cast<size_t>(opClassFor(inst.op,
-                                                            inst.type))];
-        launch.opLatency[pc] = static_cast<uint16_t>(timing.latency);
-        launch.opInitiation[pc] =
-            static_cast<uint16_t>(timing.initiation);
-        if (inst.isExit())
-            launch.issueClass[pc] = LaunchContext::IssueExit;
-        else if (inst.isBarrier())
-            launch.issueClass[pc] = LaunchContext::IssueBarrier;
-        else if (inst.isMemory())
-            launch.issueClass[pc] = LaunchContext::IssueMemory;
-        else if (inst.isSfu())
-            launch.issueClass[pc] = LaunchContext::IssueSfu;
-        uint64_t *mask = &launch.sbMask[pc * launch.sbWords];
-        auto mark = [&](ptx::RegId r) {
-            mask[r / 64] |= uint64_t{1} << (r % 64);
-        };
-        for (const auto &src : inst.srcs)
-            if (src.isReg())
-                mark(src.reg);
-        if (inst.guarded)
-            mark(inst.predReg);
-        if (inst.writesDst())
-            mark(inst.dst);
-    }
-
-    // ---- Sampled simulation (config.sample): split the grid ----
-    //
-    // Non-detailed CTAs retire functionally (fastForwardCtas); only the
-    // detailed window runs through the timed machine. A CTA window keeps
-    // the ids after the window for AFTER the timed session, so the warm
-    // ring holds exactly the window's preceding accesses; every other
-    // mode fast-forwards all non-detailed CTAs up front.
     const uint64_t launchIndex = kernelsDone_;
-    std::vector<uint64_t> detailedList;   //!< windowed dispatch ids
-    std::vector<uint64_t> ffTail;         //!< fast-forwarded after the window
-    bool windowed = false;
-    // Occupancy waves of an n-CTA grid under this launch's per-SM
-    // residency — the extrapolation unit.
-    auto wavesOf = [&](uint64_t n) -> uint64_t {
-        const uint64_t wave = ctasPerWave(launch);
-        return (n + wave - 1) / wave;
-    };
-    if (samplePlan_.active()) {
-        const uint64_t total = grid.count();
-        const uint64_t ff_skip = ffSkipCtas_;   // consumed by the restored
-        ffSkipCtas_ = 0;                        // launch only
-        if (ff_skip == 0)
-            ffLaunchWork_ = 0; // else: restored prefix work, keep it
-        std::vector<uint64_t> detailed =
-            samplePlan_.kernelDetailed(launchIndex)
-                ? std::vector<uint64_t>{}
-                : samplePlan_.detailedCtas(launchIndex, total);
-        const bool fully_detailed = samplePlan_.kernelDetailed(launchIndex)
-            || detailed.size() == total;
-        if (fully_detailed) {
-            beginDetailedWork(0);
-        } else {
-            std::vector<uint64_t> prefix;
-            if (samplePlan_.mode == SamplePlan::Mode::CtaWindow &&
-                !detailed.empty()) {
-                for (uint64_t i = 0; i < detailed.front(); ++i)
-                    prefix.push_back(i);
-                for (uint64_t i = detailed.back() + 1; i < total; ++i)
-                    ffTail.push_back(i);
-            } else {
-                size_t d = 0;
-                for (uint64_t i = 0; i < total; ++i) {
-                    if (d < detailed.size() && detailed[d] == i) {
-                        ++d;
-                        continue;
-                    }
-                    prefix.push_back(i);
-                }
-            }
-            fastForwardCtas(launch, prefix, ff_skip);
-            if (detailed.empty()) {
-                // Whole launch fast-forwarded: no timed session, no
-                // launches/ctas_launched stats — only the book entry the
-                // extrapolation needs.
-                sampleBook_.push_back({launchIndex, total, 0, 0,
-                                       wavesOf(total), 0, 0,
-                                       ffLaunchWork_});
-                GCL_DEBUG("gpu", "launch '", kernel.name(),
-                          "': fast-forwarded all ", total, " CTAs");
-                ++kernelsDone_;
-                if (boundaryHook_)
-                    boundaryHook_(kernelsDone_);
-                return;
-            }
-            beginDetailedWork(prefix.size());
-            if (config_.ffWarm)
-                warmCaches();
-            // The window leaves real tag state behind; drop the replayed
-            // entries so they cannot pollute the next window's warm-up.
-            warmRing_.clear();
-            warmHead_ = 0;
-            detailedList = std::move(detailed);
-            windowed = true;
-        }
+    std::vector<uint64_t> window, tail;
+    if (samplePlan_.active() && !sampleSplit(launch, window, tail)) {
+        retire();
+        return;
     }
 
     for (auto &sm : sms_)
         sm->startLaunch(launch);
 
     DispatchState dispatch;
-    dispatch.total = windowed ? detailedList.size() : grid.count();
+    dispatch.total = grid.count();
     dispatch.launch = &launch;
-    if (windowed)
-        dispatch.ctaList = &detailedList;
+    if (!window.empty()) {
+        dispatch.total = window.size();
+        dispatch.ctaList = &window;
+        GCL_DEBUG("gpu", "launch '", kernel.name(), "': detailed window of ",
+                  window.size(), " / ", grid.count(), " CTAs");
+    }
 
     stats_.set().inc("launches");
     stats_.set().inc("ctas_launched", static_cast<double>(dispatch.total));
     stats_.set().set("threads_per_cta", static_cast<double>(cta.count()));
-
-    if (windowed)
-        GCL_DEBUG("gpu", "launch '", kernel.name(), "': detailed window of ",
-                  detailedList.size(), " / ", grid.count(), " CTAs");
     GCL_DEBUG("gpu", "launch '", kernel.name(), "': ", grid.count(),
               " CTAs x ", cta.count(), " threads");
 
@@ -805,202 +726,144 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
     // Cycle 0 is reserved as the "unset timestamp" sentinel; the clock is
     // global and monotonic across launches.
     const Cycle start = clock_ + 1;
-    {
-        const SimStats::Hot totals = stats_.hotTotals();
-        watchdog_.beginLaunch(start, totals.warpInsts, totals.reqsCompleted);
+    const Cycle end = runCycles(dispatch, start);
+
+    // Conservation: every data-expecting request the L1s accepted must
+    // have completed by the time the device drained.
+    const SimStats::Hot totals = stats_.hotTotals();
+    gcl_sim_check(totals.reqsIssued == totals.reqsCompleted, "gpu", end,
+                  totals.reqsIssued, " requests issued but ",
+                  totals.reqsCompleted, " completed at the end of launch of '",
+                  kernel.name(), "'");
+
+    clock_ = end;
+    lastLaunchCycles_ = end - start + 1;
+    stats_.set().inc("cycles", static_cast<double>(lastLaunchCycles_));
+    GCL_DEBUG("gpu", "launch '", kernel.name(), "' retired after ",
+              lastLaunchCycles_, " cycles");
+
+    // Sampled simulation: record the window for the extrapolation and
+    // fast-forward the CTAs after the window (CTA-window mode).
+    if (samplePlan_.active()) {
+        const uint64_t detWork = totals.threadInsts - workBefore;
+        if (!tail.empty())
+            fastForwardCtas(launch, tail, 0);
+        const uint64_t wave = ctasPerWave(launch);
+        sampleBook_.push_back({launchIndex, grid.count(), dispatch.total,
+                               lastLaunchCycles_,
+                               divCeil(grid.count(), wave),
+                               divCeil(dispatch.total, wave), detWork,
+                               ffLaunchWork_});
     }
-    // Active-unit tracking and event-driven skipping run only under idle
-    // gating; the gating-off loop below stays the eager cycle-by-cycle
-    // reference both are proved bit-identical against (tests/test_gating.cc
-    // and tests/test_skip.cc).
-    const bool lean = config_.idleGating;
-    const bool skip_on = lean && config_.cycleSkipping;
-    if (lean) {
-        // Every unit enters a launch drained (the previous launch's exit
-        // condition), so the active masks are already empty; only the
-        // idle-credit clocks need arming.
-        std::fill(smIdleFrom_.begin(), smIdleFrom_.end(), start);
+    retire();
+}
+
+bool
+Gpu::sampleSplit(const LaunchContext &launch, std::vector<uint64_t> &window,
+                 std::vector<uint64_t> &tail)
+{
+    // Non-detailed CTAs retire functionally (fastForwardCtas); only the
+    // detailed window runs through the timed machine. A CTA window keeps
+    // the ids after the window for AFTER the timed session, so the warm
+    // ring holds exactly the window's preceding accesses; every other
+    // mode fast-forwards all non-detailed CTAs up front.
+    const uint64_t launchIndex = kernelsDone_;
+    const uint64_t total = launch.grid.count();
+    const uint64_t ff_skip = ffSkipCtas_;   // consumed by the restored
+    ffSkipCtas_ = 0;                        // launch only
+    if (ff_skip == 0)
+        ffLaunchWork_ = 0; // else: restored prefix work, keep it
+    if (samplePlan_.kernelDetailed(launchIndex)) {
+        beginDetailedWork(0);
+        return true;
     }
+    std::vector<uint64_t> detailed =
+        samplePlan_.detailedCtas(launchIndex, total);
+    if (detailed.size() == total) {
+        beginDetailedWork(0);
+        return true;
+    }
+
+    const bool keep_tail = samplePlan_.mode == SamplePlan::Mode::CtaWindow;
+    std::vector<uint64_t> prefix;
+    size_t d = 0;
+    for (uint64_t i = 0; i < total; ++i) {
+        if (d < detailed.size() && detailed[d] == i)
+            ++d;
+        else if (keep_tail && d > 0 && d == detailed.size())
+            tail.push_back(i);
+        else
+            prefix.push_back(i);
+    }
+    fastForwardCtas(launch, prefix, ff_skip);
+    if (detailed.empty()) {
+        // Whole launch fast-forwarded: no timed session, no
+        // launches/ctas_launched stats — only the book entry the
+        // extrapolation needs.
+        sampleBook_.push_back({launchIndex, total, 0, 0,
+                               divCeil(total, ctasPerWave(launch)), 0, 0,
+                               ffLaunchWork_});
+        GCL_DEBUG("gpu", "launch '", launch.kernel->name(),
+                  "': fast-forwarded all ", total, " CTAs");
+        return false;
+    }
+    beginDetailedWork(prefix.size());
+    if (config_.ffWarm)
+        warmCaches();
+    // The window leaves real tag state behind; drop the replayed
+    // entries so they cannot pollute the next window's warm-up.
+    warmRing_.clear();
+    warmHead_ = 0;
+    window = std::move(detailed);
+    return true;
+}
+
+Cycle
+Gpu::runCycles(DispatchState &dispatch, Cycle start)
+{
+    const std::string &kernel = dispatch.launch->kernel->name();
+    // cycle_skipping=0 is the reference path: every cycle runs, and
+    // dormancy and clock jumps must reproduce it byte for byte.
+    const bool skip_on = config_.cycleSkipping;
+    const SimStats::Hot begin = stats_.hotTotals();
+    watchdog_.beginLaunch(start, begin.warpInsts, begin.reqsCompleted);
+    // Every unit enters a launch drained (the previous launch's exit
+    // condition), so the active masks are already empty; only the
+    // idle-credit clocks need arming.
+    std::fill(smIdleFrom_.begin(), smIdleFrom_.end(), start);
     Cycle now = start;
     for (;; ++now) {
-        // max_cycles budgets the whole run (the global clock), so a
-        // many-launch app cannot dodge the cap launch by launch.
-        if (now >= config_.maxCycles) {
-            // Cycle `now` never runs, so dormant spans end at it: after
-            // the settle, every counter matches the eager loop's at the
-            // moment it would throw the identical error.
-            wakeAllDormantUnits(now);
-            gcl_sim_error(SimError::Kind::Timeout, "gpu", now,
-                          "run exceeded its budget of ", config_.maxCycles,
-                          " cycles during launch of '", kernel.name(), "'");
-        }
-        if (fault_ && fault_->stopKernel(now)) {
-            wakeAllDormantUnits(now);
-            gcl_sim_error(SimError::Kind::FaultInjected, "gpu", now,
-                          "fault plan stopped kernel '", kernel.name(),
-                          "'");
-        }
-        // Cooperative cancellation (SIGINT/SIGTERM via the bench runner):
-        // polled between cycles. ~1k-cycle granularity keeps the poll
-        // invisible on the hot path.
-        if ((now & 0x3ff) == 0 && guard::cancelRequested()) {
-            wakeAllDormantUnits(now);
-            gcl_sim_error(SimError::Kind::Canceled, "gpu", now,
-                          "run cancelled during launch of '", kernel.name(),
-                          "'");
-        }
-        // Progress counters now live in per-unit shards, so totalling them
+        // Run control. max_cycles budgets the whole run (the global
+        // clock), so a many-launch app cannot dodge the cap launch by
+        // launch. Cooperative cancellation (SIGINT/SIGTERM via the bench
+        // runner) is polled at ~1k-cycle granularity, invisible on the
+        // hot path.
+        if (now >= config_.maxCycles)
+            abortLaunch(SimError::Kind::Timeout, kernel, now);
+        if (fault_ && fault_->stopKernel(now))
+            abortLaunch(SimError::Kind::FaultInjected, kernel, now);
+        if ((now & 0x3ff) == 0 && guard::cancelRequested())
+            abortLaunch(SimError::Kind::Canceled, kernel, now);
+        // Progress counters live in per-unit shards, so totalling them
         // is O(units); the due() gate keeps that off the per-cycle path.
         if (watchdog_.due(now)) {
             const SimStats::Hot totals = stats_.hotTotals();
             if (watchdog_.onCycle(now, totals.warpInsts,
-                                  totals.reqsCompleted)) {
-                // Double-fault guard: composing the per-unit detail walks
-                // hung data structures, which may themselves trip an
-                // invariant. The hang must still surface with at least
-                // its conservation counters, so a nested error degrades
-                // the report instead of replacing it.
-                // The report's per-SM detail must match the eager loop's,
-                // so settle the lazily tracked idle cycles first (through
-                // now - 1: this cycle never ran).
-                if (lean)
-                    flushIdleCredits(now - 1);
-                wakeAllDormantUnits(now);
-                auto report = std::make_shared<guard::HangReport>();
-                try {
-                    *report = buildHangReport(kernel.name(), now);
-                } catch (const SimError &nested) {
-                    report->kernel = kernel.name();
-                    report->cycle = now;
-                    report->lastProgressCycle =
-                        watchdog_.lastProgressCycle();
-                    report->stallCycles = now - report->lastProgressCycle;
-                    report->compositionError = nested.message();
-                }
-                // Final timeline sample so a Chrome-trace export shows the
-                // queue occupancies of the hung window.
-                if (GCL_TRACE_ACTIVE(traceSink_))
-                    sampleTimeline(now);
-                SimError error(SimError::Kind::Hang, "gpu", now,
-                               report->summary());
-                error.hangReport = std::move(report);
-                throw error;
-            }
+                                  totals.reqsCompleted))
+                raiseHang(kernel, now);
         }
 
         dispatchCtas(dispatch, now);
-
         // Wake dormant SMs whose own event ripened or whose response is
         // deliverable this cycle. The crossbar state read here predates
         // this cycle's arbitration, which only makes flits deliverable at
         // now + icnt_latency or later — so with icnt_latency >= 1 the
         // check is exact; the serial latency-0 same-cycle push is caught
-        // by the drain-phase wake below instead.
+        // by the drain-phase wake in tickUnits instead.
         if (skip_on)
             wakeDueUnits(now);
-
-        if (lean) {
-            // ---- Tick over the active units only ----
-            // An active SM is busy by construction (retired from the mask
-            // the moment a tick drains it), so the busy/idle split of the
-            // eager loop collapses to an unconditional cycle; the skipped
-            // idle SMs' Fig 4 denominators are settled lazily from
-            // smIdleFrom_. Dormant SMs are skipped too: their tick would
-            // be a frozen no-op, credited in bulk at wake.
-            for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-                uint64_t word = activeSmMask_[w] & ~dormantSmMask_[w];
-                while (word != 0) {
-                    const unsigned s = static_cast<unsigned>(
-                        w * 64 +
-                        static_cast<size_t>(std::countr_zero(word)));
-                    word &= word - 1;
-                    sms_[s]->cycle(now, icnt_);
-                }
-            }
-            icnt_.cycle(now);
-            // Activate pushed partitions before their loop runs: with
-            // icnt_latency 0 a flit pushed this cycle is poppable this
-            // same cycle, so its partition must tick now.
-            activatePartsFromIcnt();
-            forEachSetBit(activePartMask_, [&](unsigned p) {
-                const uint64_t bit = uint64_t{1} << (p % 64);
-                if (dormantPartMask_[p / 64] & bit) {
-                    // Only a latency-0 crossbar can land an acceptable
-                    // arrival in the same cycle it was arbitrated (later
-                    // latencies were caught by wakeDueUnits). The wake
-                    // credits through now - 1; the tick below then
-                    // accepts the flit at its exact arrival cycle.
-                    if (!(icnt_.hasRequest(static_cast<int>(p), now) &&
-                          partitions_[p]->canAcceptArrival()))
-                        return;
-                    wakePart(p, now);
-                }
-                // The eager loop's own gate, kept verbatim: an active but
-                // drained partition whose flit is still in flight ticks
-                // nothing until the flit arrives.
-                if (partitions_[p]->idle() &&
-                    !icnt_.hasRequest(static_cast<int>(p), now))
-                    return;
-                partitions_[p]->cycle(now, icnt_);
-            });
-            if (icnt_.anyResponsesInFlight())
-                forEachSetBit(activeSmMask_, [&](unsigned s) {
-                    const uint64_t bit = uint64_t{1} << (s % 64);
-                    if (dormantSmMask_[s / 64] & bit) {
-                        // Only a latency-0 crossbar can make a response
-                        // deliverable in the same cycle it was pushed
-                        // (later latencies were caught by wakeDueUnits).
-                        // The SM's tick this cycle was skipped while
-                        // frozen, so the wake credits through now
-                        // inclusive; the delivery below then un-freezes
-                        // it for next cycle.
-                        if (!icnt_.hasResponse(static_cast<int>(s), now))
-                            return;
-                        wakeSm(s, now + 1);
-                    }
-                    sms_[s]->drainResponses(now, icnt_);
-                });
-            // Dormant SMs never executed this cycle, so their staged
-            // buffers are empty — skip the call, not just the commit.
-            for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-                uint64_t word = activeSmMask_[w] & ~dormantSmMask_[w];
-                while (word != 0) {
-                    const unsigned s = static_cast<unsigned>(
-                        w * 64 +
-                        static_cast<size_t>(std::countr_zero(word)));
-                    word &= word - 1;
-                    sms_[s]->commitStagedWrites();
-                }
-            }
-        } else {
-            for (auto &sm : sms_) {
-                // Idle SMs still tick the Fig 4 denominator but skip the
-                // pipeline walk.
-                if (sm->busy())
-                    sm->cycle(now, icnt_);
-                else
-                    sm->idleCycle();
-            }
-            icnt_.cycle(now);
-            for (unsigned p = 0; p < partitions_.size(); ++p) {
-                // A drained partition with no arriving flit would run a
-                // no-op cycle; skipping it is invisible to timing and
-                // stats (tests/test_gating.cc proves bit-identity).
-                if (config_.idleGating && partitions_[p]->idle() &&
-                    !icnt_.hasRequest(static_cast<int>(p), now))
-                    continue;
-                partitions_[p]->cycle(now, icnt_);
-            }
-            if (!config_.idleGating || icnt_.anyResponsesInFlight())
-                for (auto &sm : sms_)
-                    sm->drainResponses(now, icnt_);
-            // End-of-cycle write commit (see functional.hh).
-            for (auto &sm : sms_)
-                sm->commitStagedWrites();
-        }
-
-        if (lean)
-            deactivateDrainedUnits(now);
+        tickUnits(now);
+        deactivateDrainedUnits(now);
         if (skip_on)
             updateDormantUnits(now);
 
@@ -1012,99 +875,149 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
         // SMs are exactly the busy ones, a non-idle partition is always
         // active, and an active-but-idle partition implies flits in
         // flight, which icnt_.idle() already vetoes.
-        if (dispatch.next == dispatch.total &&
-            (lean ? activeSmCount_ == 0 && activePartCount_ == 0 &&
-                        icnt_.idle()
-                  : allIdle()))
+        if (dispatch.next == dispatch.total && activeSmCount_ == 0 &&
+            activePartCount_ == 0 && icnt_.idle())
             break;
 
-        if (skip_on) {
-            // ---- Event-driven skip (the decision point) ----
-            // Runs from end-of-cycle committed state, after the break
-            // check, so a jump is only taken mid-kernel. target > now + 1 means
-            // every unit certified the span (now, target) dead: ticking
-            // it cycle by cycle would only bump the per-cycle counters
-            // that skipCycles()/flushIdleCredits() credit in bulk.
-            const Cycle target = skipTarget(now, start);
-            if (target > now + 1) {
-                const uint64_t span = target - (now + 1);
-                // Dormant units keep accumulating their own span
-                // (credited at wake); crediting them here too would
-                // double-count.
-                for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-                    uint64_t word = activeSmMask_[w] & ~dormantSmMask_[w];
-                    while (word != 0) {
-                        const unsigned s = static_cast<unsigned>(
-                            w * 64 +
-                            static_cast<size_t>(std::countr_zero(word)));
-                        word &= word - 1;
-                        sms_[s]->skipCycles(now + 1, span);
-                    }
-                }
-                // An awake partition can sit inside a jump span with a
-                // ripe frozen-stalled ROP head (its next event is its
-                // DRAM head's completion); it owes one stall per cycle.
-                for (size_t w = 0; w < activePartMask_.size(); ++w) {
-                    uint64_t word =
-                        activePartMask_[w] & ~dormantPartMask_[w];
-                    while (word != 0) {
-                        const unsigned p = static_cast<unsigned>(
-                            w * 64 +
-                            static_cast<size_t>(std::countr_zero(word)));
-                        word &= word - 1;
-                        partitions_[p]->skipCycles(now + 1, span);
-                    }
-                }
-                // Idle SMs are covered by their pending idle credit; the
-                // crossbar only owes its round-robin pointer advance.
-                icnt_.skipAdvance(span);
-                skippedCycles_ += span;
-                ++skipEvents_;
-                now = target - 1; // ++now lands exactly on the event
-            }
+        if (!skip_on)
+            continue;
+        // ---- Event-driven skip (the decision point) ----
+        // Runs from end-of-cycle committed state, after the break check,
+        // so a jump is only taken mid-kernel. target > now + 1 means every
+        // unit certified the span (now, target) dead: ticking it cycle by
+        // cycle would only bump the per-cycle counters that
+        // skipCycles()/flushIdleCredits() credit in bulk.
+        const Cycle target = skipTarget(now, start);
+        if (target > now + 1) {
+            const uint64_t span = target - (now + 1);
+            // Dormant units keep accumulating their own span (credited at
+            // wake); crediting them here too would double-count. An awake
+            // partition can sit inside a jump span with a ripe
+            // frozen-stalled ROP head (its next event is its DRAM head's
+            // completion); it owes one stall per cycle.
+            forEachAwake(activeSmMask_, dormantSmMask_, [&](unsigned s) {
+                sms_[s]->skipCycles(now + 1, span);
+            });
+            forEachAwake(activePartMask_, dormantPartMask_, [&](unsigned p) {
+                partitions_[p]->skipCycles(now + 1, span);
+            });
+            // Idle SMs are covered by their pending idle credit; the
+            // crossbar only owes its round-robin pointer advance.
+            icnt_.skipAdvance(span);
+            skippedCycles_ += span;
+            ++skipEvents_;
+            now = target - 1; // ++now lands exactly on the event
         }
     }
+    flushIdleCredits(now);
+    return now;
+}
 
-    if (lean)
-        flushIdleCredits(now);
+void
+Gpu::tickUnits(Cycle now)
+{
+    // Only awake units tick: an idle SM's cycles are credited in bulk
+    // from smIdleFrom_, a dormant unit's frozen ticks at wake.
+    forEachAwake(activeSmMask_, dormantSmMask_,
+                 [&](unsigned s) { sms_[s]->cycle(now, icnt_); });
+    icnt_.cycle(now);
+    // Activate pushed partitions before their loop runs: with
+    // icnt_latency 0 a flit pushed this cycle is poppable this same
+    // cycle, so its partition must tick now.
+    activatePartsFromIcnt();
+    forEachSetBit(activePartMask_, [&](unsigned p) {
+        const uint64_t bit = uint64_t{1} << (p % 64);
+        if (dormantPartMask_[p / 64] & bit) {
+            // Only a latency-0 crossbar can land an acceptable arrival in
+            // the same cycle it was arbitrated (later latencies were
+            // caught by wakeDueUnits). The wake credits through now - 1;
+            // the tick below then accepts the flit at its exact arrival
+            // cycle.
+            if (!(icnt_.hasRequest(static_cast<int>(p), now) &&
+                  partitions_[p]->canAcceptArrival()))
+                return;
+            wakePart(p, now);
+        }
+        // An active but drained partition whose flit is still in flight
+        // would run a no-op cycle until the flit arrives.
+        if (partitions_[p]->idle() &&
+            !icnt_.hasRequest(static_cast<int>(p), now))
+            return;
+        partitions_[p]->cycle(now, icnt_);
+    });
+    if (icnt_.anyResponsesInFlight())
+        forEachSetBit(activeSmMask_, [&](unsigned s) {
+            const uint64_t bit = uint64_t{1} << (s % 64);
+            if (dormantSmMask_[s / 64] & bit) {
+                // Only a latency-0 crossbar can make a response
+                // deliverable in the same cycle it was pushed (later
+                // latencies were caught by wakeDueUnits). The SM's tick
+                // this cycle was skipped while frozen, so the wake
+                // credits through now inclusive; the delivery below then
+                // un-freezes it for next cycle.
+                if (!icnt_.hasResponse(static_cast<int>(s), now))
+                    return;
+                wakeSm(s, now + 1);
+            }
+            sms_[s]->drainResponses(now, icnt_);
+        });
+    // End-of-cycle write commit (see functional.hh). Dormant SMs never
+    // executed this cycle, so their staged buffers are empty — skip the
+    // call, not just the commit.
+    forEachAwake(activeSmMask_, dormantSmMask_,
+                 [&](unsigned s) { sms_[s]->commitStagedWrites(); });
+}
 
-    // Conservation: every data-expecting request the L1s accepted must
-    // have completed by the time the device drained.
-    {
-        const SimStats::Hot totals = stats_.hotTotals();
-        gcl_sim_check(totals.reqsIssued == totals.reqsCompleted, "gpu",
-                      now, totals.reqsIssued, " requests issued but ",
-                      totals.reqsCompleted,
-                      " completed at the end of launch of '", kernel.name(),
-                      "'");
+void
+Gpu::abortLaunch(SimError::Kind kind, const std::string &kernel, Cycle now)
+{
+    // Cycle `now` never runs, so dormant spans end at it: after the
+    // settle, every counter matches the per-cycle run's at the moment it
+    // raises the identical error.
+    wakeAllDormantUnits(now);
+    switch (kind) {
+      case SimError::Kind::Timeout:
+        gcl_sim_error(kind, "gpu", now, "run exceeded its budget of ",
+                      config_.maxCycles, " cycles during launch of '",
+                      kernel, "'");
+      case SimError::Kind::FaultInjected:
+        gcl_sim_error(kind, "gpu", now, "fault plan stopped kernel '",
+                      kernel, "'");
+      default:
+        gcl_sim_error(kind, "gpu", now, "run cancelled during launch of '",
+                      kernel, "'");
     }
+}
 
-    clock_ = now;
-    lastLaunchCycles_ = now - start + 1;
-    stats_.set().inc("cycles", static_cast<double>(lastLaunchCycles_));
-    GCL_DEBUG("gpu", "launch '", kernel.name(), "' retired after ",
-              lastLaunchCycles_, " cycles");
-
-    // Sampled simulation: record the window for the extrapolation and
-    // fast-forward the CTAs after the window (CTA-window mode).
-    if (samplePlan_.active()) {
-        const uint64_t det =
-            windowed ? detailedList.size() : grid.count();
-        const uint64_t detWork =
-            stats_.hotTotals().threadInsts - workBefore;
-        if (!ffTail.empty())
-            fastForwardCtas(launch, ffTail, 0);
-        sampleBook_.push_back({launchIndex, grid.count(), det,
-                               lastLaunchCycles_, wavesOf(grid.count()),
-                               wavesOf(det), detWork, ffLaunchWork_});
+void
+Gpu::raiseHang(const std::string &kernel, Cycle now)
+{
+    // The report's per-SM detail must count every cycle that ran, so
+    // settle the lazily tracked idle credits first (through now - 1:
+    // this cycle never ran) and every dormant span.
+    flushIdleCredits(now - 1);
+    wakeAllDormantUnits(now);
+    // Double-fault guard: composing the per-unit detail walks hung data
+    // structures, which may themselves trip an invariant. The hang must
+    // still surface with at least its conservation counters, so a nested
+    // error degrades the report instead of replacing it.
+    auto report = std::make_shared<guard::HangReport>();
+    try {
+        *report = buildHangReport(kernel, now);
+    } catch (const SimError &nested) {
+        report->kernel = kernel;
+        report->cycle = now;
+        report->lastProgressCycle = watchdog_.lastProgressCycle();
+        report->stallCycles = now - report->lastProgressCycle;
+        report->compositionError = nested.message();
     }
-
-    // Kernel boundary: the device is fully drained (the conservation
-    // check above) — the one point where a checkpoint captures the exact
-    // mid-run state.
-    ++kernelsDone_;
-    if (boundaryHook_)
-        boundaryHook_(kernelsDone_);
+    // Final timeline sample so a Chrome-trace export shows the queue
+    // occupancies of the hung window.
+    if (GCL_TRACE_ACTIVE(traceSink_))
+        sampleTimeline(now);
+    SimError error(SimError::Kind::Hang, "gpu", now, report->summary());
+    error.hangReport = std::move(report);
+    throw error;
 }
 
 uint64_t
@@ -1324,11 +1237,7 @@ Gpu::warmCaches()
             entry.chunk & ~uint64_t{config_.l2.lineBytes - 1};
         partitions_[static_cast<size_t>(part)]->warmL2(l2_line);
     };
-    if (warmRing_.size() < kWarmRingCapacity) {
-        for (const WarmEntry &entry : warmRing_)
-            replay(entry);
-        return;
-    }
+    // Oldest first; warmHead_ stays 0 until the ring wraps.
     for (size_t i = warmHead_; i < warmRing_.size(); ++i)
         replay(warmRing_[i]);
     for (size_t i = 0; i < warmHead_; ++i)
@@ -1497,15 +1406,10 @@ Gpu::saveSampleState(snap::SnapWriter &out) const
         out.u32(entry.cta);
         out.u8(entry.isStore);
     };
-    if (warmRing_.size() < kWarmRingCapacity) {
-        for (const WarmEntry &entry : warmRing_)
-            write(entry);
-    } else {
-        for (size_t i = warmHead_; i < warmRing_.size(); ++i)
-            write(warmRing_[i]);
-        for (size_t i = 0; i < warmHead_; ++i)
-            write(warmRing_[i]);
-    }
+    for (size_t i = warmHead_; i < warmRing_.size(); ++i)
+        write(warmRing_[i]);
+    for (size_t i = 0; i < warmHead_; ++i)
+        write(warmRing_[i]);
 }
 
 void

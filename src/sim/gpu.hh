@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "config.hh"
@@ -17,6 +18,7 @@
 #include "event_calendar.hh"
 #include "functional.hh"
 #include "guard/fault.hh"
+#include "guard/sim_error.hh"
 #include "guard/watchdog.hh"
 #include "interconnect.hh"
 #include "mem_partition.hh"
@@ -230,10 +232,40 @@ class Gpu
     };
 
     void dispatchCtas(DispatchState &dispatch, Cycle now);
-    bool allIdle() const;
     void sampleTimeline(Cycle now) const;
 
+    // ---- The cycle driver ----
+
+    /**
+     * Run one launch's timed session from cycle @p start until every CTA
+     * is dispatched and every unit drained; returns the last cycle run.
+     * Its one mode switch is config.cycleSkipping (off: every cycle runs,
+     * the reference path; on: dormancy and clock jumps).
+     */
+    Cycle runCycles(DispatchState &dispatch, Cycle start);
+
+    /** Tick every awake unit through cycle @p now, in pipeline order. */
+    void tickUnits(Cycle now);
+
+    /** Settle dormant spans; raise Timeout, FaultInjected or Canceled. */
+    [[noreturn]] void abortLaunch(SimError::Kind kind,
+                                  const std::string &kernel, Cycle now);
+
+    /** Settle every credit, compose the hang report and raise it. */
+    [[noreturn]] void raiseHang(const std::string &kernel, Cycle now);
+
     // ---- Sampled simulation internals (config.sample) ----
+
+    /**
+     * Split @p launch's grid around its detailed window: fast-forward the
+     * CTAs before it, warm the caches, and return the window's CTA ids in
+     * @p window (empty: the whole grid) and the CTAs to fast-forward after
+     * the timed session in @p tail. Returns false when the whole launch
+     * was fast-forwarded (its book entry recorded; no timed session).
+     */
+    bool sampleSplit(const LaunchContext &launch,
+                     std::vector<uint64_t> &window,
+                     std::vector<uint64_t> &tail);
 
     /**
      * Retire CTAs @p ids[skip..] of @p launch functionally: every warp
@@ -278,14 +310,15 @@ class Gpu
     void saveSampleState(snap::SnapWriter &out) const;
     void loadSampleState(snap::SnapReader &in);
 
-    // ---- Active-unit tracking (idle gating on) ----
+    // ---- Active-unit tracking ----
     //
     // The per-cycle loop visits only units that can do work: an SM is
     // active exactly while busy() (activated at launchCta, retired right
     // after the tick that drained it), a partition from the first flit
-    // pushed toward it until it is drained with nothing in flight.
-    // Inactive SMs owe one idleCycle() per skipped cycle; that debt is
-    // recorded in smIdleFrom_ and settled lazily by flushIdleCredits().
+    // pushed toward it until it is drained with nothing in flight. An
+    // idle SM is credited one smCycles per cycle (the Fig 4 denominator);
+    // that debt is recorded in smIdleFrom_ and settled lazily by
+    // flushIdleCredits().
 
     /** Mark SM @p sm active, settling its idle-cycle debt up to @p now. */
     void activateSm(unsigned sm, Cycle now);
@@ -331,7 +364,8 @@ class Gpu
 
     /**
      * Settle every dormant unit's span before an error unwinds or a hang
-     * report composes, so the observable stats match the eager loop's.
+     * report composes, so the observable stats count every cycle that
+     * ran, exactly as with cycle_skipping=0.
      */
     void wakeAllDormantUnits(Cycle resume);
 

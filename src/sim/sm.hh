@@ -67,23 +67,9 @@ class Sm
     void cycle(Cycle now, Interconnect &icnt);
 
     /**
-     * Tick the Fig 4 denominator for an idle cycle (the Gpu skips the
-     * pipeline walk but the cycle still counts, in this SM's shard).
-     * With the crit profiler on, the cycle's issue slots are all lost to
-     * IdleNoCta so the accounting identity keeps holding on skipped SMs.
-     */
-    void
-    idleCycle()
-    {
-        ++stats_.hot.smCycles;
-        if (crit)
-            crit->idleCycle(config_.numSchedulers);
-    }
-
-    /**
-     * Credit @p count idle cycles at once — the lazy form of idleCycle()
-     * used by the active-unit tracking and the event-driven skip, with
-     * identical accounting.
+     * Credit @p count idle cycles: an idle SM does not tick, but each of
+     * its cycles adds one smCycles (the Fig 4 denominator) and, with the
+     * crit profiler on, loses every issue slot to IdleNoCta.
      */
     void
     idleCycles(uint64_t count)

@@ -117,16 +117,21 @@ TEST(FaultPlan, AutoWindowsAreSeedDeterministic)
 
 TEST(ConfigOverride, UnknownKeyIsFatalAndListsVocabulary)
 {
-    GpuConfig config{};
-    try {
-        config.applyOverride("num_smms", "32");
-        FAIL() << "unknown key accepted";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), SimError::Kind::Config);
-        EXPECT_NE(e.message().find("num_smms"), std::string::npos);
-        // The error must teach the valid vocabulary.
-        EXPECT_NE(e.message().find("num_sms"), std::string::npos);
-        EXPECT_NE(e.message().find("watchdog_budget"), std::string::npos);
+    // A typo, and a retired knob (idle gating is no longer optional: the
+    // cycle driver always ticks only the active units).
+    for (const std::string key : {"num_smms", "idle_gating"}) {
+        GpuConfig config{};
+        try {
+            config.applyOverrides(key + "=0");
+            FAIL() << key << ": unknown key accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimError::Kind::Config) << key;
+            EXPECT_NE(e.message().find(key), std::string::npos);
+            // The error must teach the valid vocabulary.
+            EXPECT_NE(e.message().find("num_sms"), std::string::npos);
+            EXPECT_NE(e.message().find("watchdog_budget"),
+                      std::string::npos);
+        }
     }
 }
 

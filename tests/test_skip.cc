@@ -6,8 +6,11 @@
  * and trace streams BYTE-identical to the same run ticked cycle by
  * cycle — under injected fault pressure, across a
  * checkpoint/resume, and in how it trips the --max-cycles deadline.
+ * Both sides share the active-unit tracking and the bulk idle-cycle
+ * credits, so committed stats digests (recorded when a loop still ticked
+ * every unit every cycle) pin that bookkeeping from outside.
  *
- * This is the bit-identity proof referenced from Gpu::launch and
+ * This is the bit-identity proof referenced from Gpu::runCycles and
  * config.hh; scripts/check.sh additionally diffs whole memo-cache
  * directories and asserts the >=2x throughput gate with perf_diff
  * --expect-speedup.
@@ -17,6 +20,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -80,18 +84,33 @@ runApp(const std::string &app, bool skipping,
 }
 
 void
-expectIdentical(const RunArtifacts &skip, const RunArtifacts &eager,
+expectIdentical(const RunArtifacts &skip, const RunArtifacts &ref,
                 const std::string &label)
 {
     EXPECT_FALSE(skip.stats.empty()) << label;
-    EXPECT_EQ(skip.stats, eager.stats)
+    EXPECT_EQ(skip.stats, ref.stats)
         << label << ": cycle skipping changed the stats";
-    ASSERT_EQ(skip.trace.size(), eager.trace.size())
+    ASSERT_EQ(skip.trace.size(), ref.trace.size())
         << label << ": cycle skipping changed the trace event count";
-    EXPECT_EQ(std::memcmp(skip.trace.data(), eager.trace.data(),
-                          eager.trace.size() * sizeof(TraceEvent)),
+    EXPECT_EQ(std::memcmp(skip.trace.data(), ref.trace.data(),
+                          ref.trace.size() * sizeof(TraceEvent)),
               0)
         << label << ": cycle skipping changed the trace stream";
+}
+
+/** 64-bit FNV-1a of @p bytes, as 16 hex digits. */
+std::string
+fnv1a(const std::string &bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return hex;
 }
 
 TEST(Skip, ArtifactsBitIdenticalWithSkippingOnAndOff)
@@ -124,12 +143,34 @@ TEST(Skip, CritReportBitIdenticalWithSkippingOnAndOff)
                     "gaus crit");
 }
 
+TEST(Skip, StatsMatchCommittedDigests)
+{
+    // One `<app>[:<fault plan>] <digest>` line per case: gaus drains its
+    // SMs and DRAM channels repeatedly between launches (long idle
+    // spans to credit), bpr adds atomic traffic, and the seeded fault
+    // plan stalls and drains the tracked units mid-run.
+    std::ifstream in(GCL_REPO_GOLDENS_DIR "/eager_stats_digests.txt");
+    ASSERT_TRUE(in) << "missing goldens/eager_stats_digests.txt";
+    std::string name, digest;
+    int cases = 0;
+    for (; in >> name >> digest; ++cases) {
+        const size_t colon = name.find(':');
+        const std::string app = name.substr(0, colon);
+        const std::string plan =
+            colon == std::string::npos ? "" : name.substr(colon + 1);
+        for (const bool skipping : {true, false})
+            EXPECT_EQ(fnv1a(runApp(app, skipping, plan).stats), digest)
+                << name << ": stats moved, skipping=" << skipping;
+    }
+    EXPECT_EQ(cases, 3);
+}
+
 TEST(Skip, ResumeBitIdenticalWithSkippingOn)
 {
     // A checkpoint captured mid-sequence by a skipping run must resume
-    // into the same artifacts an uninterrupted eager run produces.
+    // into the same artifacts an uninterrupted per-cycle run produces.
     const std::string path = ::testing::TempDir() + "skip_resume.snap";
-    const RunArtifacts eager = runApp("gaus", false);
+    const RunArtifacts ref = runApp("gaus", false);
     {
         GpuConfig config{};
         config.cycleSkipping = true;
@@ -168,22 +209,22 @@ TEST(Skip, ResumeBitIdenticalWithSkippingOn)
         << ctx.failure().kind << ": " << ctx.failure().message;
     ASSERT_TRUE(ctx.resumed());
     resumed.stats = ctx.stats().serialize();
-    expectIdentical(resumed, eager, "gaus resumed");
+    expectIdentical(resumed, ref, "gaus resumed");
     std::remove(path.c_str());
 }
 
 TEST(Skip, MaxCyclesDeadlineTripsAtTheSameCycle)
 {
     // A jump must never overshoot the --max-cycles deadline: the timeout
-    // has to fire at exactly the cycle the eager loop reports, with the
-    // same structured failure record.
+    // has to fire at exactly the cycle the per-cycle run reports, with
+    // the same structured failure record.
     const RunArtifacts skip = runApp("gaus", true, "", 2'000);
-    const RunArtifacts eager = runApp("gaus", false, "", 2'000);
+    const RunArtifacts ref = runApp("gaus", false, "", 2'000);
     EXPECT_EQ(skip.failureKind, "timeout");
-    EXPECT_EQ(skip.failureKind, eager.failureKind);
-    EXPECT_EQ(skip.failureMessage, eager.failureMessage)
+    EXPECT_EQ(skip.failureKind, ref.failureKind);
+    EXPECT_EQ(skip.failureMessage, ref.failureMessage)
         << "skipping moved the timeout cycle";
-    EXPECT_EQ(skip.stats, eager.stats);
+    EXPECT_EQ(skip.stats, ref.stats);
 }
 
 TEST(SkipEvent, IcntNextEventPinsAndClampsExactly)
