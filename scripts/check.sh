@@ -110,11 +110,12 @@ diff -r "$tmp/cache-j1" "$tmp/cache-noskip" \
 # latency stretched to 800 cycles, crit profiler on — the EXPERIMENTS.md
 # "Event-driven skipping" setup) spmv must run at >= 2x the cycles/sec of
 # the same build with the skip disabled. Both sweeps run back-to-back on
-# this host, so the ratio is insensitive to machine speed.
-"$BUILD_DIR/bench/perf_sweep" --apps=spmv --repeat=1 --crit \
+# this host, so the ratio is insensitive to machine speed; each side is
+# the median of three runs, so one noisy run cannot decide the gate.
+"$BUILD_DIR/bench/perf_sweep" --apps=spmv --repeat=3 --crit \
     --sim-config=dram_latency=800,cycle_skipping=0 \
     --out="$tmp/perf-noskip.json" --label=check-noskip > /dev/null
-"$BUILD_DIR/bench/perf_sweep" --apps=spmv --repeat=1 --crit \
+"$BUILD_DIR/bench/perf_sweep" --apps=spmv --repeat=3 --crit \
     --sim-config=dram_latency=800 \
     --out="$tmp/perf-skip.json" --label=check-skip > /dev/null
 "$BUILD_DIR/tools/perf_diff" "$tmp/perf-noskip.json" "$tmp/perf-skip.json" \

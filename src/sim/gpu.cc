@@ -20,60 +20,6 @@ namespace
 {
 
 /**
- * Visit the units whose bit is set in word(w), w in [0, words), in
- * unit-id order until @p fn returns true; returns whether it did. Each
- * word is read once, before its first unit is visited, so @p fn may set
- * or clear bits of the masks being walked.
- */
-template <typename Word, typename Fn>
-bool
-scanBits(size_t words, Word &&word, Fn &&fn)
-{
-    for (size_t w = 0; w < words; ++w)
-        for (uint64_t bits = word(w); bits != 0; bits &= bits - 1)
-            if (fn(static_cast<unsigned>(
-                    w * 64 + static_cast<size_t>(std::countr_zero(bits)))))
-                return true;
-    return false;
-}
-
-/** Visit every set bit of a unit bitmask, in unit-id order. */
-template <typename Fn>
-void
-forEachSetBit(const std::vector<uint64_t> &mask, Fn &&fn)
-{
-    scanBits(mask.size(), [&](size_t w) { return mask[w]; },
-             [&](unsigned unit) {
-                 fn(unit);
-                 return false;
-             });
-}
-
-/** Visit every awake unit (active and not dormant), in unit-id order. */
-template <typename Fn>
-void
-forEachAwake(const std::vector<uint64_t> &active,
-             const std::vector<uint64_t> &dormant, Fn &&fn)
-{
-    scanBits(active.size(), [&](size_t w) { return active[w] & ~dormant[w]; },
-             [&](unsigned unit) {
-                 fn(unit);
-                 return false;
-             });
-}
-
-/**
- * Visit the set bits of @p mask in unit-id order until @p fn returns
- * true; returns whether it did.
- */
-template <typename Fn>
-bool
-anySetBit(const std::vector<uint64_t> &mask, Fn &&fn)
-{
-    return scanBits(mask.size(), [&](size_t w) { return mask[w]; }, fn);
-}
-
-/**
  * Per-launch precompute: join the classifier's verdicts and resolve each
  * pc's scoreboard mask, opcode-class timing and issue class into the
  * dense tables the per-cycle issue path reads.
@@ -139,7 +85,9 @@ precomputeLaunch(LaunchContext &launch, const GpuConfig &config)
 
 Gpu::Gpu(GpuConfig config)
     : config_(config), stats_(config_), icnt_(config_, pools_),
-      watchdog_(config_.watchdogInterval, config_.watchdogBudget)
+      watchdog_(config_.watchdogInterval, config_.watchdogBudget),
+      smSet_(sms_, config_.numSms),
+      partSet_(partitions_, config_.numPartitions)
 {
     if (!config_.faultPlan.empty())
         fault_ = std::make_unique<guard::FaultInjector>(
@@ -166,16 +114,6 @@ Gpu::Gpu(GpuConfig config)
             static_cast<int>(p), config_, stats_, pools_));
         partitions_.back()->fault = fault_.get();
     }
-
-    activeSmMask_.assign((config_.numSms + 63) / 64, 0);
-    activePartMask_.assign((config_.numPartitions + 63) / 64, 0);
-    smIdleFrom_.assign(config_.numSms, 0);
-    dormantSmMask_.assign((config_.numSms + 63) / 64, 0);
-    dormantFrom_.assign(config_.numSms, 0);
-    dormantWakeAt_.assign(config_.numSms, 0);
-    dormantPartMask_.assign((config_.numPartitions + 63) / 64, 0);
-    dormantPartFrom_.assign(config_.numPartitions, 0);
-    dormantPartWakeAt_.assign(config_.numPartitions, 0);
 }
 
 void
@@ -375,37 +313,20 @@ Gpu::dispatchCtas(DispatchState &dispatch, Cycle now)
 void
 Gpu::activateSm(unsigned sm, Cycle now)
 {
-    uint64_t &word = activeSmMask_[sm / 64];
-    const uint64_t bit = uint64_t{1} << (sm % 64);
-    if (word & bit) {
+    if (smSet_.active(sm)) {
         // Already active — but possibly dormant (a clustered dispatch can
         // land a CTA on a frozen SM with a free slot). The placement is a
         // wake event: settle the span so the SM ticks this cycle.
-        if (dormantSmMask_[sm / 64] & bit)
-            wakeSm(sm, now);
+        if (smSet_.dormant(sm))
+            smSet_.wake(sm, now);
         return;
     }
-    // Settle the idle span [idleFrom, now): an idle SM is credited one
+    // Settle the idle span [from, now): an idle SM is credited one
     // smCycles per cycle. This cycle itself runs for real — the SM is
     // busy from this launchCta on.
-    if (smIdleFrom_[sm] < now)
-        sms_[sm]->idleCycles(now - smIdleFrom_[sm]);
-    word |= bit;
-    ++activeSmCount_;
-}
-
-void
-Gpu::activatePartsFromIcnt()
-{
-    const std::vector<uint64_t> &pushed = icnt_.pushedParts();
-    for (size_t w = 0; w < pushed.size(); ++w) {
-        const uint64_t add = pushed[w] & ~activePartMask_[w];
-        if (add != 0) {
-            activePartMask_[w] |= add;
-            activePartCount_ += static_cast<unsigned>(std::popcount(add));
-        }
-    }
-    icnt_.clearPushedParts();
+    if (smSet_.from[sm] < now)
+        sms_[sm]->idleCycles(now - smSet_.from[sm]);
+    smSet_.activate(sm);
 }
 
 void
@@ -415,84 +336,58 @@ Gpu::deactivateDrainedUnits(Cycle now)
     // their drain state is frozen exactly as it was at span onset (a
     // dormant SM is busy by construction; a dormant partition either
     // holds requests or waits on in-flight flits).
-    forEachAwake(activeSmMask_, dormantSmMask_, [&](unsigned s) {
+    smSet_.forEachAwake([&](unsigned s) {
         if (sms_[s]->busy())
             return;
-        activeSmMask_[s / 64] &= ~(uint64_t{1} << (s % 64));
-        --activeSmCount_;
+        smSet_.deactivate(s);
         // Idle from the next cycle on: one smCycles credit per cycle,
-        // settled lazily from smIdleFrom_.
-        smIdleFrom_[s] = now + 1;
+        // settled lazily from the span start.
+        smSet_.from[s] = now + 1;
     });
-    forEachAwake(activePartMask_, dormantPartMask_, [&](unsigned p) {
+    partSet_.forEachAwake([&](unsigned p) {
         // A drained partition stays active while flits are still flying
         // toward it — they arrive without any further push notification.
         if (!partitions_[p]->idle() ||
             icnt_.pendingToPart(static_cast<int>(p)) != 0)
             return;
-        activePartMask_[p / 64] &= ~(uint64_t{1} << (p % 64));
-        --activePartCount_;
+        partSet_.deactivate(p);
     });
-}
-
-void
-Gpu::wakeSm(unsigned s, Cycle resume)
-{
-    dormantSmMask_[s / 64] &= ~(uint64_t{1} << (s % 64));
-    if (resume > dormantFrom_[s]) {
-        const uint64_t span = resume - dormantFrom_[s];
-        sms_[s]->skipCycles(dormantFrom_[s], span);
-        dormantCycles_ += span;
-    }
-}
-
-void
-Gpu::wakePart(unsigned p, Cycle resume)
-{
-    dormantPartMask_[p / 64] &= ~(uint64_t{1} << (p % 64));
-    if (resume > dormantPartFrom_[p]) {
-        const uint64_t span = resume - dormantPartFrom_[p];
-        partitions_[p]->skipCycles(dormantPartFrom_[p], span);
-        dormantCycles_ += span;
-    }
 }
 
 void
 Gpu::wakeDueUnits(Cycle now)
 {
-    forEachSetBit(dormantSmMask_, [&](unsigned s) {
+    smSet_.forEachDormant([&](unsigned s) {
         // Own event ripened, a response is deliverable, or — for a head
         // frozen on FailIcnt — the request arbitration popped the
         // injection queue below its cap, so this retry would inject.
-        if (dormantWakeAt_[s] <= now ||
+        if (smSet_.wakeAt[s] <= now ||
             icnt_.hasResponse(static_cast<int>(s), now) ||
             (sms_[s]->ldstStalledOnIcnt() &&
              icnt_.canInject(static_cast<int>(s))))
-            wakeSm(s, now);
+            smSet_.wake(s, now);
     });
-    forEachSetBit(dormantPartMask_, [&](unsigned p) {
+    partSet_.forEachDormant([&](unsigned p) {
         // Own event ripened, or a request the ROP pipeline has room for
         // is deliverable — the accept must happen this exact cycle.
-        if (dormantPartWakeAt_[p] <= now ||
+        if (partSet_.wakeAt[p] <= now ||
             (icnt_.hasRequest(static_cast<int>(p), now) &&
              partitions_[p]->canAcceptArrival()))
-            wakePart(p, now);
+            partSet_.wake(p, now);
     });
 }
 
 void
 Gpu::wakeAllDormantUnits(Cycle resume)
 {
-    forEachSetBit(dormantSmMask_,
-                  [&](unsigned s) { wakeSm(s, resume); });
-    forEachSetBit(dormantPartMask_,
-                  [&](unsigned p) { wakePart(p, resume); });
+    smSet_.wakeAll(resume);
+    partSet_.wakeAll(resume);
 }
 
 void
 Gpu::updateDormantUnits(Cycle now)
 {
-    forEachAwake(activeSmMask_, dormantSmMask_, [&](unsigned s) {
+    smSet_.forEachAwake([&](unsigned s) {
         const Cycle event = sms_[s]->nextEventCycle(now);
         if (event == now + 1)
             return;
@@ -505,15 +400,12 @@ Gpu::updateDormantUnits(Cycle now)
         // min(own event, earliest in-flight response delivery). Later
         // deliveries (flits still upstream of toSm_) are caught by
         // wakeDueUnits' per-cycle hasResponse check when they ripen.
-        const Cycle resp = icnt_.respHeadReadyAt(static_cast<int>(s));
-        const Cycle wake = event < resp ? event : resp;
-        if (wake <= now + 1)
-            return;
-        dormantSmMask_[s / 64] |= uint64_t{1} << (s % 64);
-        dormantFrom_[s] = now + 1;
-        dormantWakeAt_[s] = wake;
+        const Cycle wake =
+            std::min(event, icnt_.respHeadReadyAt(static_cast<int>(s)));
+        if (wake > now + 1)
+            smSet_.sleep(s, now + 1, wake);
     });
-    forEachAwake(activePartMask_, dormantPartMask_, [&](unsigned p) {
+    partSet_.forEachAwake([&](unsigned p) {
         const Cycle event = partitions_[p]->nextEventCycle(now);
         if (event == now + 1)
             return;
@@ -523,16 +415,10 @@ Gpu::updateDormantUnits(Cycle now)
         // the span starts are caught by wakeDueUnits' per-cycle
         // hasRequest check when they ripen.
         Cycle wake = event;
-        if (partitions_[p]->canAcceptArrival()) {
-            const Cycle arrival = icnt_.reqHeadReadyAt(static_cast<int>(p));
-            if (arrival < wake)
-                wake = arrival;
-        }
-        if (wake <= now + 1)
-            return;
-        dormantPartMask_[p / 64] |= uint64_t{1} << (p % 64);
-        dormantPartFrom_[p] = now + 1;
-        dormantPartWakeAt_[p] = wake;
+        if (partitions_[p]->canAcceptArrival())
+            wake = std::min(wake, icnt_.reqHeadReadyAt(static_cast<int>(p)));
+        if (wake > now + 1)
+            partSet_.sleep(p, now + 1, wake);
     });
 }
 
@@ -540,57 +426,42 @@ void
 Gpu::flushIdleCredits(Cycle up_to)
 {
     for (unsigned s = 0; s < config_.numSms; ++s) {
-        if (activeSmMask_[s / 64] >> (s % 64) & 1)
+        if (smSet_.active(s))
             continue;
-        if (smIdleFrom_[s] <= up_to)
-            sms_[s]->idleCycles(up_to - smIdleFrom_[s] + 1);
-        smIdleFrom_[s] = up_to + 1;
+        Cycle &from = smSet_.from[s];
+        if (from <= up_to)
+            sms_[s]->idleCycles(up_to - from + 1);
+        from = up_to + 1;
     }
 }
 
 Cycle
 Gpu::skipTarget(Cycle now, Cycle start)
 {
-    calendar_.reset(now + 1);
-
-    // The crossbar first: its pin check is O(1) (anything waiting for
-    // arbitration moves next cycle) and memory-bound kernels are in that
-    // state nearly every cycle.
-    {
-        const Cycle event = icnt_.nextEventCycle(now);
-        if (event == now + 1)
-            return now + 1;
-        calendar_.offer(event);
-    }
-    // Busy SMs next, with an early bail: a dirty issue scan or an LD/ST
-    // head making progress pins the next cycle, and compute-bound kernels
-    // are in that state nearly every cycle — the common case must cost one
-    // flag test per active SM before anything else is asked. (A head
-    // stalled on a frozen L1 resource does NOT pin: its retries are
-    // bulk-credited by Sm::skipCycles.)
-    auto sm_pins = [&](unsigned s) {
-        const Cycle event = sms_[s]->nextEventCycle(now);
-        if (event == now + 1)
-            return true;
-        // A FailIcnt-frozen head with its injection credit back injects
-        // next cycle (the icnt scan above cannot see this: the freed
-        // queue may leave the whole crossbar empty).
-        if (sms_[s]->ldstStalledOnIcnt() &&
-            icnt_.canInject(static_cast<int>(s)))
-            return true;
-        calendar_.offer(event);
-        return false;
-    };
-    auto part_pins = [&](unsigned p) {
-        const Cycle event = partitions_[p]->nextEventCycle(now);
-        if (event == now + 1)
-            return true;
-        calendar_.offer(event);
-        return false;
-    };
-    if (anySetBit(activeSmMask_, sm_pins) ||
-        anySetBit(activePartMask_, part_pins))
+    // The dormancy pass just put every active unit that cannot act at
+    // now + 1 to sleep, so an awake unit is itself a reason to run the
+    // next cycle. Compute-bound kernels stop here nearly every cycle.
+    if (smSet_.anyAwake() || partSet_.anyAwake())
         return now + 1;
+    // Anything waiting for crossbar arbitration moves next cycle, and
+    // memory-bound kernels are in that state nearly every cycle.
+    Cycle target = icnt_.nextEventCycle(now);
+    if (target == now + 1)
+        return now + 1;
+    // Every active unit is dormant: the jump may not pass the earliest
+    // wake-at. A FailIcnt-frozen head whose injection credit came back
+    // (this cycle's arbitration popped the queue) injects next cycle; the
+    // crossbar's event cannot see this, as the freed queue may leave the
+    // whole crossbar empty.
+    if (smSet_.anyDormant([&](unsigned s) {
+            target = std::min(target, smSet_.wakeAt[s]);
+            return sms_[s]->ldstStalledOnIcnt() &&
+                   icnt_.canInject(static_cast<int>(s));
+        }))
+        return now + 1;
+    partSet_.forEachDormant([&](unsigned p) {
+        target = std::min(target, partSet_.wakeAt[p]);
+    });
 
     // Deadlines a jump must not overshoot. Each fires at exactly the
     // cycle the per-cycle loop reaches it, so landing ON the deadline makes
@@ -600,19 +471,18 @@ Gpu::skipTarget(Cycle now, Cycle start)
     // poll is deliberately not clamped — cancellation arrives at
     // wall-clock-arbitrary points, and no artifact depends on where the
     // poll lands.
-    Cycle deadline = std::min(config_.maxCycles, watchdog_.nextCheckCycle());
+    target = std::min({target, config_.maxCycles, watchdog_.nextCheckCycle()});
     if (fault_)
-        deadline = std::min(deadline, fault_->plan().nextStopAfter(now));
+        target = std::min(target, fault_->plan().nextStopAfter(now));
     if (timelineInterval_ != 0 && GCL_TRACE_ACTIVE(traceSink_))
-        deadline = std::min(deadline, now + timelineInterval_ -
-                                          (now - start) % timelineInterval_);
+        target = std::min(target, now + timelineInterval_ -
+                                      (now - start) % timelineInterval_);
 
-    const Cycle target = std::min(calendar_.next(), deadline);
     // Nothing ever ripens and every deadline is disabled: a genuine
     // deadlock with the watchdog off. Spin one cycle at a time.
-    if (target == EventCalendar::kNever)
+    if (target == ~Cycle{0})
         return now + 1;
-    return target;
+    return std::max(target, now + 1);
 }
 
 void
@@ -830,7 +700,7 @@ Gpu::runCycles(DispatchState &dispatch, Cycle start)
     // Every unit enters a launch drained (the previous launch's exit
     // condition), so the active masks are already empty; only the
     // idle-credit clocks need arming.
-    std::fill(smIdleFrom_.begin(), smIdleFrom_.end(), start);
+    std::fill(smSet_.from.begin(), smSet_.from.end(), start);
     Cycle now = start;
     for (;; ++now) {
         // Run control. max_cycles budgets the whole run (the global
@@ -875,8 +745,8 @@ Gpu::runCycles(DispatchState &dispatch, Cycle start)
         // SMs are exactly the busy ones, a non-idle partition is always
         // active, and an active-but-idle partition implies flits in
         // flight, which icnt_.idle() already vetoes.
-        if (dispatch.next == dispatch.total && activeSmCount_ == 0 &&
-            activePartCount_ == 0 && icnt_.idle())
+        if (dispatch.next == dispatch.total && smSet_.activeCount() == 0 &&
+            partSet_.activeCount() == 0 && icnt_.idle())
             break;
 
         if (!skip_on)
@@ -884,25 +754,13 @@ Gpu::runCycles(DispatchState &dispatch, Cycle start)
         // ---- Event-driven skip (the decision point) ----
         // Runs from end-of-cycle committed state, after the break check,
         // so a jump is only taken mid-kernel. target > now + 1 means every
-        // unit certified the span (now, target) dead: ticking it cycle by
-        // cycle would only bump the per-cycle counters that
-        // skipCycles()/flushIdleCredits() credit in bulk.
+        // active unit is dormant through the span (now, target): ticking
+        // it cycle by cycle would only bump the per-cycle counters that
+        // the dormant units' wake and flushIdleCredits() credit in bulk.
         const Cycle target = skipTarget(now, start);
         if (target > now + 1) {
             const uint64_t span = target - (now + 1);
-            // Dormant units keep accumulating their own span (credited at
-            // wake); crediting them here too would double-count. An awake
-            // partition can sit inside a jump span with a ripe
-            // frozen-stalled ROP head (its next event is its DRAM head's
-            // completion); it owes one stall per cycle.
-            forEachAwake(activeSmMask_, dormantSmMask_, [&](unsigned s) {
-                sms_[s]->skipCycles(now + 1, span);
-            });
-            forEachAwake(activePartMask_, dormantPartMask_, [&](unsigned p) {
-                partitions_[p]->skipCycles(now + 1, span);
-            });
-            // Idle SMs are covered by their pending idle credit; the
-            // crossbar only owes its round-robin pointer advance.
+            // The crossbar only owes its round-robin pointer advance.
             icnt_.skipAdvance(span);
             skippedCycles_ += span;
             ++skipEvents_;
@@ -917,17 +775,16 @@ void
 Gpu::tickUnits(Cycle now)
 {
     // Only awake units tick: an idle SM's cycles are credited in bulk
-    // from smIdleFrom_, a dormant unit's frozen ticks at wake.
-    forEachAwake(activeSmMask_, dormantSmMask_,
-                 [&](unsigned s) { sms_[s]->cycle(now, icnt_); });
+    // from its span start, a dormant unit's frozen ticks at wake.
+    smSet_.forEachAwake([&](unsigned s) { sms_[s]->cycle(now, icnt_); });
     icnt_.cycle(now);
     // Activate pushed partitions before their loop runs: with
     // icnt_latency 0 a flit pushed this cycle is poppable this same
     // cycle, so its partition must tick now.
-    activatePartsFromIcnt();
-    forEachSetBit(activePartMask_, [&](unsigned p) {
-        const uint64_t bit = uint64_t{1} << (p % 64);
-        if (dormantPartMask_[p / 64] & bit) {
+    partSet_.activate(icnt_.pushedParts());
+    icnt_.clearPushedParts();
+    partSet_.forEachActive([&](unsigned p) {
+        if (partSet_.dormant(p)) {
             // Only a latency-0 crossbar can land an acceptable arrival in
             // the same cycle it was arbitrated (later latencies were
             // caught by wakeDueUnits). The wake credits through now - 1;
@@ -936,7 +793,7 @@ Gpu::tickUnits(Cycle now)
             if (!(icnt_.hasRequest(static_cast<int>(p), now) &&
                   partitions_[p]->canAcceptArrival()))
                 return;
-            wakePart(p, now);
+            partSet_.wake(p, now);
         }
         // An active but drained partition whose flit is still in flight
         // would run a no-op cycle until the flit arrives.
@@ -946,9 +803,8 @@ Gpu::tickUnits(Cycle now)
         partitions_[p]->cycle(now, icnt_);
     });
     if (icnt_.anyResponsesInFlight())
-        forEachSetBit(activeSmMask_, [&](unsigned s) {
-            const uint64_t bit = uint64_t{1} << (s % 64);
-            if (dormantSmMask_[s / 64] & bit) {
+        smSet_.forEachActive([&](unsigned s) {
+            if (smSet_.dormant(s)) {
                 // Only a latency-0 crossbar can make a response
                 // deliverable in the same cycle it was pushed (later
                 // latencies were caught by wakeDueUnits). The SM's tick
@@ -957,15 +813,14 @@ Gpu::tickUnits(Cycle now)
                 // un-freezes it for next cycle.
                 if (!icnt_.hasResponse(static_cast<int>(s), now))
                     return;
-                wakeSm(s, now + 1);
+                smSet_.wake(s, now + 1);
             }
             sms_[s]->drainResponses(now, icnt_);
         });
     // End-of-cycle write commit (see functional.hh). Dormant SMs never
     // executed this cycle, so their staged buffers are empty — skip the
     // call, not just the commit.
-    forEachAwake(activeSmMask_, dormantSmMask_,
-                 [&](unsigned s) { sms_[s]->commitStagedWrites(); });
+    smSet_.forEachAwake([&](unsigned s) { sms_[s]->commitStagedWrites(); });
 }
 
 void

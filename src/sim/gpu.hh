@@ -8,6 +8,7 @@
 #ifndef GCL_SIM_GPU_HH
 #define GCL_SIM_GPU_HH
 
+#include <bit>
 #include <functional>
 #include <memory>
 #include <string>
@@ -15,7 +16,6 @@
 
 #include "config.hh"
 #include "crit/crit.hh"
-#include "event_calendar.hh"
 #include "functional.hh"
 #include "guard/fault.hh"
 #include "guard/sim_error.hh"
@@ -120,7 +120,11 @@ class Gpu
      * Credited in bulk at wake, so — like skippedCycles() — a wall-clock
      * diagnostic that never reaches the stats set.
      */
-    uint64_t dormantCycles() const { return dormantCycles_; }
+    uint64_t
+    dormantCycles() const
+    {
+        return smSet_.dormantCycles + partSet_.dormantCycles;
+    }
 
     // ---- Checkpoint / restore (gcl::snap) ----
 
@@ -310,21 +314,193 @@ class Gpu
     void saveSampleState(snap::SnapWriter &out) const;
     void loadSampleState(snap::SnapReader &in);
 
-    // ---- Active-unit tracking ----
+    // ---- Active-unit tracking and per-unit dormancy ----
     //
     // The per-cycle loop visits only units that can do work: an SM is
     // active exactly while busy() (activated at launchCta, retired right
     // after the tick that drained it), a partition from the first flit
     // pushed toward it until it is drained with nothing in flight. An
     // idle SM is credited one smCycles per cycle (the Fig 4 denominator);
-    // that debt is recorded in smIdleFrom_ and settled lazily by
+    // that debt is settled lazily from its span start by
     // flushIdleCredits().
+    //
+    // With config.cycleSkipping, an active unit whose nextEventCycle lies
+    // beyond now + 1 goes dormant: it stops ticking while the clock
+    // advances for the others, and its frozen per-cycle counters are
+    // credited in bulk by its skipCycles at wake. An SM sleeps on a
+    // frozen LD/ST head or with all requests in flight and wakes at its
+    // own scheduled event (UnitSet::wakeAt), a response ripening in the
+    // crossbar (checked each cycle), a CTA placement (activateSm), or
+    // the hang/timeout flush. A partition sleeps on a frozen-stalled ROP
+    // head or a pure maturity/arrival wait and wakes at its own event or
+    // when an arrival it has room for ripens. The dormancy pass is the
+    // one place the units' nextEventCycle is read: the clock jump
+    // (skipTarget) only reads what it left behind.
+
+    /**
+     * Active and dormant bookkeeping for one kind of unit, kept once for
+     * the SMs and once for the partitions. A dormant unit is active but
+     * frozen and not ticked. One span start per unit serves both spans a
+     * unit can owe: an SM's idle span while inactive and any unit's
+     * dormant span while frozen (never both at once). The walks visit
+     * units in id order and read each mask word once, before its first
+     * unit, so a visitor may set or clear bits of the masks being walked.
+     */
+    template <typename Unit>
+    class UnitSet
+    {
+      public:
+        UnitSet(std::vector<std::unique_ptr<Unit>> &units, unsigned count)
+            : from(count, 0), wakeAt(count, 0), units_(units),
+              active_((count + 63) / 64, 0), dormant_(active_.size(), 0)
+        {
+        }
+        UnitSet(const UnitSet &) = delete;
+
+        bool active(unsigned u) const { return active_[u / 64] & bit(u); }
+        bool dormant(unsigned u) const { return dormant_[u / 64] & bit(u); }
+        unsigned activeCount() const { return activeCount_; }
+
+        void
+        activate(unsigned u)
+        {
+            active_[u / 64] |= bit(u);
+            ++activeCount_;
+        }
+
+        /** Activate every unit whose bit is set in @p units. */
+        void
+        activate(const std::vector<uint64_t> &units)
+        {
+            for (size_t w = 0; w < units.size(); ++w) {
+                const uint64_t add = units[w] & ~active_[w];
+                active_[w] |= add;
+                activeCount_ += static_cast<unsigned>(std::popcount(add));
+            }
+        }
+
+        void
+        deactivate(unsigned u)
+        {
+            active_[u / 64] &= ~bit(u);
+            --activeCount_;
+        }
+
+        /** Freeze active unit @p u from cycle @p first until @p wake_at. */
+        void
+        sleep(unsigned u, Cycle first, Cycle wake_at)
+        {
+            dormant_[u / 64] |= bit(u);
+            from[u] = first;
+            wakeAt[u] = wake_at;
+        }
+
+        /**
+         * End dormant unit @p u's span; it ticks again from cycle
+         * @p resume. The frozen cycles before it are credited in bulk.
+         */
+        void
+        wake(unsigned u, Cycle resume)
+        {
+            dormant_[u / 64] &= ~bit(u);
+            if (resume > from[u]) {
+                const uint64_t span = resume - from[u];
+                units_[u]->skipCycles(from[u], span);
+                dormantCycles += span;
+            }
+        }
+
+        void
+        wakeAll(Cycle resume)
+        {
+            forEachDormant([&](unsigned u) { wake(u, resume); });
+        }
+
+        /** True when some active unit is awake (not dormant). */
+        bool
+        anyAwake() const
+        {
+            return scanBits([&](size_t w) { return active_[w] & ~dormant_[w]; },
+                            [](unsigned) { return true; });
+        }
+
+        template <typename Fn>
+        void
+        forEachActive(Fn &&fn) const
+        {
+            visit([&](size_t w) { return active_[w]; }, fn);
+        }
+
+        template <typename Fn>
+        void
+        forEachAwake(Fn &&fn) const
+        {
+            visit([&](size_t w) { return active_[w] & ~dormant_[w]; }, fn);
+        }
+
+        template <typename Fn>
+        void
+        forEachDormant(Fn &&fn) const
+        {
+            visit([&](size_t w) { return dormant_[w]; }, fn);
+        }
+
+        /**
+         * Visit dormant units until @p fn returns true; returns whether
+         * it did.
+         */
+        template <typename Fn>
+        bool
+        anyDormant(Fn &&fn) const
+        {
+            return scanBits([&](size_t w) { return dormant_[w]; }, fn);
+        }
+
+        /** First cycle of the unit's unsettled idle or dormant span. */
+        std::vector<Cycle> from;
+        /** The unit's own event that ends its dormant span (~0: none). */
+        std::vector<Cycle> wakeAt;
+        /** Unit-cycles credited by wake() (Gpu::dormantCycles). */
+        uint64_t dormantCycles = 0;
+
+      private:
+        static uint64_t bit(unsigned u) { return uint64_t{1} << (u % 64); }
+
+        /**
+         * Visit the units whose bit is set in word(w) until @p fn returns
+         * true; returns whether it did.
+         */
+        template <typename Word, typename Fn>
+        bool
+        scanBits(Word &&word, Fn &&fn) const
+        {
+            for (size_t w = 0; w < active_.size(); ++w)
+                for (uint64_t bits = word(w); bits != 0; bits &= bits - 1)
+                    if (fn(static_cast<unsigned>(
+                            w * 64 +
+                            static_cast<size_t>(std::countr_zero(bits)))))
+                        return true;
+            return false;
+        }
+
+        template <typename Word, typename Fn>
+        void
+        visit(Word &&word, Fn &&fn) const
+        {
+            scanBits(word, [&](unsigned u) {
+                fn(u);
+                return false;
+            });
+        }
+
+        std::vector<std::unique_ptr<Unit>> &units_;
+        std::vector<uint64_t> active_;    //!< bit u: unit u is active
+        std::vector<uint64_t> dormant_;   //!< bit u: active but frozen
+        unsigned activeCount_ = 0;
+    };
 
     /** Mark SM @p sm active, settling its idle-cycle debt up to @p now. */
     void activateSm(unsigned sm, Cycle now);
-
-    /** Activate every partition the interconnect pushed a flit toward. */
-    void activatePartsFromIcnt();
 
     /** Retire units whose tick just drained them (end of cycle @p now). */
     void deactivateDrainedUnits(Cycle now);
@@ -335,29 +511,6 @@ class Gpu
      * observed by a checkpoint) and before a hang report composes.
      */
     void flushIdleCredits(Cycle up_to);
-
-    // ---- Per-unit dormancy (config.cycleSkipping) ----
-    //
-    // The global jump needs EVERY unit quiescent; one SM issuing a
-    // request each cycle pins the whole clock. Dormancy is the per-unit
-    // form of the same contract: an active SM whose nextEventCycle lies
-    // beyond now + 1 (frozen LD/ST head, or all requests in flight)
-    // stops ticking while the clock advances for the others, and its
-    // frozen per-cycle counters are credited in bulk by Sm::skipCycles
-    // at wake. Wake sources: the SM's own scheduled event
-    // (dormantWakeAt_), a response ripening in the crossbar (checked
-    // each cycle), a CTA placement (activateSm), or the hang/timeout
-    // flush. Partitions get the symmetric treatment: a frozen-stalled
-    // ROP head or a pure maturity/arrival wait sleeps until the
-    // partition's own event (dormantPartWakeAt_) or an acceptable
-    // arrival ripens, with MemPartition::skipCycles crediting the
-    // span's stall counter at wake.
-
-    /** End SM @p s's dormant span; it ticks again from cycle @p resume. */
-    void wakeSm(unsigned s, Cycle resume);
-
-    /** End partition @p p's dormant span; it ticks from @p resume. */
-    void wakePart(unsigned p, Cycle resume);
 
     /** Wake every dormant unit whose event or arrival/response is due. */
     void wakeDueUnits(Cycle now);
@@ -373,9 +526,11 @@ class Gpu
     void updateDormantUnits(Cycle now);
 
     /**
-     * The next cycle some unit (or deadline) needs the loop to run, seen
-     * from the end of cycle @p now; now + 1 means no skip. @p start is
-     * the launch's first cycle (anchors the timeline-sample clamp).
+     * The cycle the loop must run next, seen from the end of cycle
+     * @p now after the dormancy pass; now + 1 means no skip. A jump needs
+     * every active unit dormant; it lands on the earliest crossbar event,
+     * dormant unit's wake-at or deadline. @p start is the launch's first
+     * cycle (anchors the timeline-sample clamp).
      */
     Cycle skipTarget(Cycle now, Cycle start);
     guard::HangReport buildHangReport(const std::string &kernel,
@@ -415,30 +570,10 @@ class Gpu
     std::unique_ptr<crit::CritStats> crit_;
 
     // ---- Active-unit tracking + event-driven skip state ----
-
-    /** Per-decision min-calendar over the units' next-event offers. */
-    EventCalendar calendar_;
-    std::vector<uint64_t> activeSmMask_;     //!< bit s: SM s is busy
-    std::vector<uint64_t> activePartMask_;   //!< bit p: partition p live
-    unsigned activeSmCount_ = 0;
-    unsigned activePartCount_ = 0;
-    /** First cycle of each inactive SM's unsettled idle span. */
-    std::vector<Cycle> smIdleFrom_;
+    UnitSet<Sm> smSet_;
+    UnitSet<MemPartition> partSet_;
     uint64_t skippedCycles_ = 0;
     uint64_t skipEvents_ = 0;
-    /** Bit s: SM s is active but dormant (frozen; not ticked). */
-    std::vector<uint64_t> dormantSmMask_;
-    /** First un-ticked cycle of each dormant SM's span. */
-    std::vector<Cycle> dormantFrom_;
-    /** The SM-local event that ends the span (~0 = external wake only). */
-    std::vector<Cycle> dormantWakeAt_;
-    /** Bit p: partition p is active but dormant (frozen; not ticked). */
-    std::vector<uint64_t> dormantPartMask_;
-    /** First un-ticked cycle of each dormant partition's span. */
-    std::vector<Cycle> dormantPartFrom_;
-    /** Event that ends the partition's span (own event or known arrival). */
-    std::vector<Cycle> dormantPartWakeAt_;
-    uint64_t dormantCycles_ = 0;
 
     // ---- Checkpoint / restore state (gcl::snap) ----
     uint64_t kernelsDone_ = 0;

@@ -10,6 +10,14 @@
  * credits, so committed stats digests (recorded when a loop still ticked
  * every unit every cycle) pin that bookkeeping from outside.
  *
+ * Skipping has one certificate: the per-unit dormancy pass. A unit
+ * whose next event lies beyond the next cycle sleeps and is credited in
+ * bulk at wake, and the clock jumps only while every active unit sleeps
+ * (to the earliest wake-at, crossbar delivery or deadline). The
+ * dram_latency=800 leg runs where those jumps fire, and checks that the
+ * host-side skip counters are nonzero so a silently disabled skip
+ * cannot pass as byte-identical.
+ *
  * This is the bit-identity proof referenced from Gpu::runCycles and
  * config.hh; scripts/check.sh additionally diffs whole memo-cache
  * directories and asserts the >=2x throughput gate with perf_diff
@@ -49,15 +57,22 @@ struct RunArtifacts
     std::vector<TraceEvent> trace;
     std::string failureKind;
     std::string failureMessage;
+    uint64_t skippedCycles = 0;   //!< host-side skip counters (SimContext)
+    uint64_t skipEvents = 0;
+    uint64_t dormantCycles = 0;
 };
 
-/** Run @p app to completion and capture every artifact it produced. */
+/**
+ * Run @p app to completion and capture every artifact it produced.
+ * @p overrides is a --sim-config string applied before the other fields.
+ */
 RunArtifacts
 runApp(const std::string &app, bool skipping,
        const std::string &fault_plan = "", gcl::sim::Cycle max_cycles = 0,
-       bool crit = false)
+       bool crit = false, const std::string &overrides = "")
 {
     GpuConfig config{};
+    config.applyOverrides(overrides);
     config.cycleSkipping = skipping;
     config.faultPlan = fault_plan;
     config.crit = crit;
@@ -80,6 +95,9 @@ runApp(const std::string &app, bool skipping,
     out.stats = ctx.stats().serialize();
     out.failureKind = ctx.failure().kind;
     out.failureMessage = ctx.failure().message;
+    out.skippedCycles = ctx.skippedCycles();
+    out.skipEvents = ctx.skipEvents();
+    out.dormantCycles = ctx.dormantCycles();
     return out;
 }
 
@@ -119,6 +137,22 @@ TEST(Skip, ArtifactsBitIdenticalWithSkippingOnAndOff)
     // atomic traffic through the partitions' ROP path.
     for (const char *app : {"gaus", "bpr"})
         expectIdentical(runApp(app, true), runApp(app, false), app);
+
+    // The memory-stressed setup check.sh's speedup gate runs in: at an
+    // 800-cycle DRAM latency every miss leaves long all-dormant waits
+    // (gaus jumps 26,893 of its 59,809 cycles there).
+    const std::string slow = "dram_latency=800";
+    const RunArtifacts on = runApp("gaus", true, "", 0, false, slow);
+    const RunArtifacts off = runApp("gaus", false, "", 0, false, slow);
+    expectIdentical(on, off, "gaus dram_latency=800");
+    // Byte identity alone also holds when skipping silently turns off:
+    // the skipping run must really jump and sleep, the reference not.
+    EXPECT_GT(on.skippedCycles, 0u);
+    EXPECT_GT(on.skipEvents, 0u);
+    EXPECT_GT(on.dormantCycles, 0u);
+    EXPECT_EQ(off.skippedCycles, 0u);
+    EXPECT_EQ(off.skipEvents, 0u);
+    EXPECT_EQ(off.dormantCycles, 0u);
 }
 
 TEST(Skip, ArtifactsBitIdenticalUnderInjectedFaults)
